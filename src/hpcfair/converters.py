@@ -27,8 +27,8 @@ from typing import Any
 from .config import TaskConfig, as_list
 from .errors import ConfigError, ConversionError, MalformedDocumentError, \
     UnknownBackendError
-from .interchange import GraphNode, InterchangeGraph, Tensor, infer_shapes, \
-    quantize, serialize_graph, validate_graph
+from .interchange import GraphNode, InterchangeGraph, Tensor, _expect, \
+    infer_shapes, quantize, serialize_graph, validate_graph
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ class DagInput:
 
 @dataclass(frozen=True)
 class DagNode:
-    op: str  # "dense" | "relu" | "sigmoid" | "tanh" | "softmax" | "concat"
+    kind: str  # "dense" | "relu" | "sigmoid" | "tanh" | "softmax" | "concat"
     inbound: tuple[str, ...]
     kernel: Matrix | None = None  # [in, out]
     bias: tuple[float, ...] | None = None  # [out]
@@ -81,11 +81,6 @@ class LayerDagCheckpoint:
 
 # ---------------------------------------------------------------------------
 # checkpoint document parsing
-
-
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise MalformedDocumentError(message)
 
 
 def _load_doc(data: bytes | str) -> dict[str, Any]:
@@ -204,9 +199,9 @@ def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
         _expect(isinstance(raw, dict), f"{where} must be an object")
         unknown = set(raw) - {"op", "inbound", "params", "attrs"}
         _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
-        op = raw.get("op")
-        _expect(op in ("dense",) + _ACTIVATIONS + ("softmax", "concat"),
-                f"{where}: unknown op {op!r}")
+        kind = raw.get("op")
+        _expect(kind in ("dense",) + _ACTIVATIONS + ("softmax", "concat"),
+                f"{where}: unknown op {kind!r}")
         inbound_raw = raw.get("inbound")
         _expect(isinstance(inbound_raw, list) and inbound_raw and
                 all(isinstance(x, str) for x in inbound_raw),
@@ -214,7 +209,7 @@ def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
 
         kernel = bias = axis = None
         params = raw.get("params")
-        if op == "dense":
+        if kind == "dense":
             _expect(isinstance(params, dict) and
                     set(params) == {"kernel", "bias"},
                     f"{where}: dense needs params with 'kernel' and 'bias'")
@@ -227,13 +222,13 @@ def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
         else:
             _expect(params is None, f"{where}: only dense takes params")
         attrs = raw.get("attrs")
-        if op in ("softmax", "concat"):
+        if kind in ("softmax", "concat"):
             _expect(isinstance(attrs, dict) and set(attrs) == {"axis"},
-                    f"{where}: {op} needs attrs with 'axis'")
+                    f"{where}: {kind} needs attrs with 'axis'")
             axis = _parse_axis(attrs["axis"], where)
         else:
-            _expect(attrs is None, f"{where}: '{op}' takes no attrs")
-        nodes[name] = DagNode(op, tuple(inbound_raw), kernel=kernel,
+            _expect(attrs is None, f"{where}: '{kind}' takes no attrs")
+        nodes[name] = DagNode(kind, tuple(inbound_raw), kernel=kernel,
                               bias=bias, axis=axis)
 
     raw_outputs = doc.get("outputs")
@@ -320,14 +315,11 @@ def convert_sequential(ckpt: SequentialCheckpoint, model_name: str,
                                    (f"{prefix}/mm", bias.name),
                                    (f"{prefix}/out",)))
             width = len(layer.weight)
-        elif layer.kind == "softmax":
-            nodes.append(GraphNode(f"{prefix}/softmax", "Softmax",
-                                   (current,), (f"{prefix}/out",),
-                                   {"axis": layer.axis}))
         else:
+            attrs = {} if layer.axis is None else {"axis": layer.axis}
             nodes.append(GraphNode(f"{prefix}/{layer.kind}",
                                    _ACT_OP[layer.kind],
-                                   (current,), (f"{prefix}/out",)))
+                                   (current,), (f"{prefix}/out",), attrs))
         current = f"{prefix}/out"
 
     graph = InterchangeGraph(
@@ -367,7 +359,7 @@ def convert_layerdag(ckpt: LayerDagCheckpoint, model_name: str,
     initializers: list[Tensor] = []
     nodes: list[GraphNode] = []
     for name, node in ckpt.nodes.items():
-        if node.op == "dense":
+        if node.kind == "dense":
             assert node.kernel is not None and node.bias is not None
             if len(node.inbound) != 1:
                 raise ConversionError(
@@ -380,24 +372,19 @@ def convert_layerdag(ckpt: LayerDagCheckpoint, model_name: str,
                                    (f"{name}/mm",)))
             nodes.append(GraphNode(f"{name}/add", "Add",
                                    (f"{name}/mm", bias.name), (name,)))
-        elif node.op == "concat":
+        elif node.kind == "concat":
             if len(node.inbound) < 2:
                 raise ConversionError(
                     f"node '{name}': concat needs at least two inbound names")
             nodes.append(GraphNode(name, "Concat", node.inbound, (name,),
                                    {"axis": node.axis}))
-        elif node.op == "softmax":
-            if len(node.inbound) != 1:
-                raise ConversionError(
-                    f"node '{name}': softmax takes exactly one inbound")
-            nodes.append(GraphNode(name, "Softmax", node.inbound, (name,),
-                                   {"axis": node.axis}))
         else:
             if len(node.inbound) != 1:
                 raise ConversionError(
-                    f"node '{name}': {node.op} takes exactly one inbound")
-            nodes.append(GraphNode(name, _ACT_OP[node.op], node.inbound,
-                                   (name,)))
+                    f"node '{name}': {node.kind} takes exactly one inbound")
+            attrs = {} if node.axis is None else {"axis": node.axis}
+            nodes.append(GraphNode(name, _ACT_OP[node.kind], node.inbound,
+                                   (name,), attrs))
 
     graph_inputs = tuple(Tensor(inp.name, "f32", inp.shape)
                          for inp in ckpt.inputs)

@@ -14,9 +14,12 @@ graphs can be shared freely across threads.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ._canonical import dumps_canonical, loads_canonical
 from .errors import (
@@ -32,27 +35,6 @@ DTYPES = ("f32", "f64", "i64")
 
 Shape = tuple[int, ...]
 AttrValue = Any  # int | tuple[int, ...] | str
-
-
-@dataclass(frozen=True)
-class OpSpec:
-    n_inputs: int | None  # None: variadic, at least min_inputs
-    n_outputs: int
-    min_inputs: int = 0
-    required_attrs: tuple[str, ...] = ()
-
-
-OPERATORS: dict[str, OpSpec] = {
-    "MatMul": OpSpec(2, 1),
-    "Add": OpSpec(2, 1),
-    "Relu": OpSpec(1, 1),
-    "Sigmoid": OpSpec(1, 1),
-    "Tanh": OpSpec(1, 1),
-    "Softmax": OpSpec(1, 1, required_attrs=("axis",)),
-    "Concat": OpSpec(None, 1, min_inputs=2, required_attrs=("axis",)),
-    "Reshape": OpSpec(1, 1, required_attrs=("target_shape",)),
-    "Identity": OpSpec(1, 1),
-}
 
 
 def shape_numel(shape: Sequence[int]) -> int:
@@ -82,9 +64,6 @@ class Tensor:
     @property
     def numel(self) -> int:
         return shape_numel(self.shape)
-
-    def spec_only(self) -> "Tensor":
-        return Tensor(self.name, self.dtype, self.shape)
 
     def renamed(self, name: str) -> "Tensor":
         return Tensor(name, self.dtype, self.shape, self.data)
@@ -132,12 +111,6 @@ class InterchangeGraph:
             tuple(sorted(self.initializers, key=lambda t: t.name)))
         object.__setattr__(
             self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id)))
-
-    def node_by_id(self, node_id: str) -> GraphNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -316,67 +289,141 @@ def topo_sort(g: InterchangeGraph) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# operator table: arity, attributes, shape rule and kernel of each op
+
+
+class _Expected(Exception):
+    """Raised by a shape rule with what it expected of its operands."""
+
+
+def _axis(attrs: Mapping[str, AttrValue], shape: Shape) -> int:
+    axis = attrs["axis"]
+    if not isinstance(axis, int) or not 0 <= axis < len(shape):
+        raise _Expected(f"axis in [0, {len(shape)}), got {axis!r}")
+    return axis
+
+
+def _matmul_shape(attrs, shapes):
+    a, b = shapes
+    if len(a) != 2 or len(b) != 2:
+        raise _Expected("two rank-2 operands")
+    if a[1] != b[0]:
+        raise _Expected("inner dimensions to agree ([m,k] x [k,n])")
+    return (a[0], b[1])
+
+
+def _add_shape(attrs, shapes):
+    a, b = shapes
+    if a != b:
+        raise _Expected("equal shapes (no broadcasting)")
+    return a
+
+
+def _same_shape(attrs, shapes):
+    return shapes[0]
+
+
+def _softmax_shape(attrs, shapes):
+    (a,) = shapes
+    _axis(attrs, a)
+    return a
+
+
+def _concat_shape(attrs, shapes):
+    first = shapes[0]
+    axis = _axis(attrs, first)
+    total = first[axis]
+    for s in shapes[1:]:
+        if len(s) != len(first):
+            raise _Expected("operands of equal rank")
+        for dim in range(len(first)):
+            if dim != axis and s[dim] != first[dim]:
+                raise _Expected(f"equal dimensions outside axis {axis}")
+        total += s[axis]
+    out = list(first)
+    out[axis] = total
+    return tuple(out)
+
+
+def _reshape_shape(attrs, shapes):
+    (a,) = shapes
+    target = attrs["target_shape"]
+    if not isinstance(target, tuple) or \
+            not all(isinstance(d, int) and d >= 0 for d in target):
+        raise _Expected(f"target_shape of non-negative integers, got {target!r}")
+    if shape_numel(a) != shape_numel(target):
+        raise _Expected(f"target_shape with {shape_numel(a)} elements, "
+                        f"got {list(target)} ({shape_numel(target)})")
+    return tuple(target)
+
+
+def _sigmoid(attrs, arrays):
+    one = np.ones((), dtype=arrays[0].dtype)
+    return one / (one + np.exp(-arrays[0]))
+
+
+def _softmax(attrs, arrays):
+    axis = attrs["axis"]
+    shifted = arrays[0] - np.max(arrays[0], axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    n_inputs: int | None  # None: variadic, at least min_inputs
+    shape_rule: Callable[..., Shape]  # (attrs, input shapes) -> output shape
+    kernel: Callable[..., np.ndarray]  # (attrs, input arrays) -> output
+    min_inputs: int = 0
+    required_attrs: tuple[str, ...] = ()
+    float_only: bool = False
+    n_outputs: int = 1
+
+
+OPERATORS: dict[str, OpSpec] = {
+    "MatMul": OpSpec(2, _matmul_shape, lambda _, x: x[0] @ x[1]),
+    "Add": OpSpec(2, _add_shape, lambda _, x: x[0] + x[1]),
+    "Relu": OpSpec(1, _same_shape, lambda _, x: np.maximum(
+        x[0], np.zeros((), dtype=x[0].dtype))),
+    "Sigmoid": OpSpec(1, _same_shape, _sigmoid, float_only=True),
+    "Tanh": OpSpec(1, _same_shape, lambda _, x: np.tanh(x[0]),
+                   float_only=True),
+    "Softmax": OpSpec(1, _softmax_shape, _softmax, required_attrs=("axis",),
+                      float_only=True),
+    "Concat": OpSpec(None, _concat_shape,
+                     lambda a, x: np.concatenate(x, axis=a["axis"]),
+                     min_inputs=2, required_attrs=("axis",)),
+    "Reshape": OpSpec(1, _reshape_shape,
+                      lambda a, x: x[0].reshape(a["target_shape"]),
+                      required_attrs=("target_shape",)),
+    "Identity": OpSpec(1, _same_shape, lambda _, x: x[0].copy()),
+}
+
+
+def op_spec(node: GraphNode) -> OpSpec:
+    """The node's ``OPERATORS`` entry; raises UnknownOperatorError."""
+    spec = OPERATORS.get(node.op_type)
+    if spec is None:
+        raise UnknownOperatorError(
+            f"node '{node.id}' has unknown op_type '{node.op_type}'")
+    return spec
+
+
+# ---------------------------------------------------------------------------
 # shape inference
 
 
 def node_output_shapes(node: GraphNode,
                        input_shapes: Sequence[Shape]) -> list[Shape]:
-    """Shape rule table; raises ShapeMismatchError naming the node."""
-
-    def fail(expected: str) -> ShapeMismatchError:
+    """The op's shape rule; raises ShapeMismatchError naming the node."""
+    spec = op_spec(node)
+    try:
+        return [spec.shape_rule(node.attributes, input_shapes)]
+    except _Expected as exc:
         actual = ", ".join(str(list(s)) for s in input_shapes)
-        return ShapeMismatchError(
-            f"node '{node.id}' ({node.op_type}): expected {expected}, "
-            f"got [{actual}]")
-
-    op = node.op_type
-    if op == "MatMul":
-        a, b = input_shapes
-        if len(a) != 2 or len(b) != 2:
-            raise fail("two rank-2 operands")
-        if a[1] != b[0]:
-            raise fail(f"inner dimensions to agree ([m,k] x [k,n])")
-        return [(a[0], b[1])]
-    if op == "Add":
-        a, b = input_shapes
-        if a != b:
-            raise fail("equal shapes (no broadcasting)")
-        return [a]
-    if op in ("Relu", "Sigmoid", "Tanh", "Identity"):
-        return [input_shapes[0]]
-    if op == "Softmax":
-        (a,) = input_shapes
-        axis = node.attributes["axis"]
-        if not isinstance(axis, int) or not 0 <= axis < len(a):
-            raise fail(f"axis in [0, {len(a)}), got {axis!r}")
-        return [a]
-    if op == "Concat":
-        axis = node.attributes["axis"]
-        first = input_shapes[0]
-        if not isinstance(axis, int) or not 0 <= axis < len(first):
-            raise fail(f"axis in [0, {len(first)}), got {axis!r}")
-        total = first[axis]
-        for s in input_shapes[1:]:
-            if len(s) != len(first):
-                raise fail("operands of equal rank")
-            for dim in range(len(first)):
-                if dim != axis and s[dim] != first[dim]:
-                    raise fail(f"equal dimensions outside axis {axis}")
-            total += s[axis]
-        out = list(first)
-        out[axis] = total
-        return [tuple(out)]
-    if op == "Reshape":
-        (a,) = input_shapes
-        target = node.attributes["target_shape"]
-        if not isinstance(target, tuple) or \
-                not all(isinstance(d, int) and d >= 0 for d in target):
-            raise fail(f"target_shape of non-negative integers, got {target!r}")
-        if shape_numel(a) != shape_numel(target):
-            raise fail(f"target_shape with {shape_numel(a)} elements, "
-                       f"got {list(target)} ({shape_numel(target)})")
-        return [tuple(target)]
-    raise UnknownOperatorError(f"node '{node.id}' has unknown op_type '{op}'")
+        raise ShapeMismatchError(
+            f"node '{node.id}' ({node.op_type}): expected {exc}, "
+            f"got [{actual}]") from None
 
 
 def infer_shapes(g: InterchangeGraph,
@@ -432,14 +479,9 @@ def _tensor_to_doc(t: Tensor, *, with_data: bool) -> dict[str, Any]:
         "shape": list(t.shape),
     }
     if with_data:
-        doc["data"] = [_scalar_to_json(x, t.dtype) for x in (t.data or ())]
+        render = int if t.dtype == "i64" else float
+        doc["data"] = [render(x) for x in (t.data or ())]
     return doc
-
-
-def _scalar_to_json(x: float | int, dtype: str) -> float | int:
-    if dtype == "i64":
-        return int(x)
-    return float(x)
 
 
 def _attr_to_doc(value: AttrValue) -> Any:
@@ -499,7 +541,7 @@ def _parse_tensor(doc: Any, *, with_data: bool, where: str) -> Tensor:
 
     data = None
     if with_data:
-        _expect("data" in doc, f"initializer '{name}' is missing data")
+        _expect("data" in doc, f"tensor '{name}' is missing data")
         raw = doc["data"]
         _expect(isinstance(raw, list), f"tensor '{name}': data must be a list")
         _expect(len(raw) == shape_numel(shape),
@@ -519,10 +561,15 @@ def _parse_scalar(x: Any, dtype: str, name: str) -> float | int:
 
 
 def quantize(x: float, dtype: str) -> float:
-    """Snap a value onto the dtype's representable grid (f32 narrowing)."""
-    if dtype == "f32":
-        return struct.unpack("f", struct.pack("f", x))[0]
-    return x
+    """Snap a value onto the dtype's representable grid (f32 narrowing).
+
+    Non-finite results (NaN, infinities, f32 overflow) have no canonical
+    JSON form and are rejected as malformed input.
+    """
+    y = struct.unpack("f", struct.pack("f", x))[0] if dtype == "f32" else x
+    if not math.isfinite(y):
+        raise MalformedDocumentError(f"value {x!r} is not a finite {dtype}")
+    return y
 
 
 def parse_graph(data: bytes | str) -> InterchangeGraph:

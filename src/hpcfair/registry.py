@@ -220,7 +220,7 @@ class Registry:
                               f"got {role!r}")
         if not account:
             raise ConfigError("account must be non-empty")
-        token = secrets.token_urlsafe(32)
+        token = secrets.token_hex(32)  # hex: never begins with "-"
         salt = secrets.token_hex(8)
         expires_at = datetime.now(timezone.utc) + \
             timedelta(seconds=ttl_seconds)

@@ -31,10 +31,12 @@ from .interchange import (
     GraphNode,
     InterchangeGraph,
     Tensor,
+    _parse_tensor,
+    _tensor_to_doc,
     compose_graphs,
     node_output_shapes,
+    op_spec,
     parse_graph,
-    shape_numel,
     topo_sort,
     validate_graph,
 )
@@ -42,7 +44,6 @@ from .interchange import (
 logger = logging.getLogger(__name__)
 
 _NP_DTYPES = {"f32": np.float32, "f64": np.float64, "i64": np.int64}
-_FLOAT_ONLY_OPS = ("Sigmoid", "Tanh", "Softmax")
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,8 @@ class NamedTensorSet:
 
 def serialize_tensor_set(ts: NamedTensorSet) -> bytes:
     """Canonical bytes: entries sorted by name, interchange number rules."""
-    doc = [
-        {
-            "name": t.name,
-            "dtype": t.dtype,
-            "shape": list(t.shape),
-            "data": [int(x) if t.dtype == "i64" else float(x)
-                     for x in (t.data or ())],
-        }
-        for t in (ts[name] for name in ts.names())
-    ]
-    return dumps_canonical(doc)
+    return dumps_canonical([_tensor_to_doc(ts[name], with_data=True)
+                            for name in ts.names()])
 
 
 def parse_tensor_set(data: bytes | str) -> NamedTensorSet:
@@ -97,26 +89,13 @@ def parse_tensor_set(data: bytes | str) -> NamedTensorSet:
         raise MalformedDocumentError(f"invalid tensor document: {exc}")
     if not isinstance(doc, list):
         raise MalformedDocumentError("tensor document must be an array")
-    tensors = []
-    for entry in doc:
-        if not isinstance(entry, dict) or \
-                set(entry) != {"name", "dtype", "shape", "data"}:
-            raise MalformedDocumentError(
-                "each tensor entry needs exactly name/dtype/shape/data")
-        t = Tensor(entry["name"], entry["dtype"], tuple(entry["shape"]),
-                   tuple(entry["data"]))
-        if t.dtype not in _NP_DTYPES:
-            raise MalformedDocumentError(
-                f"tensor '{t.name}': unknown dtype {t.dtype!r}")
-        if t.data is None or len(t.data) != shape_numel(t.shape):
-            raise MalformedDocumentError(
-                f"tensor '{t.name}': data does not match shape")
-        tensors.append(t)
-    return NamedTensorSet.from_tensors(tensors)
+    return NamedTensorSet.from_tensors(
+        [_parse_tensor(entry, with_data=True, where="tensor set")
+         for entry in doc])
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# node evaluation (the kernels are in interchange.OPERATORS)
 
 
 def to_array(t: Tensor) -> np.ndarray:
@@ -130,33 +109,6 @@ def from_array(name: str, dtype: str, arr: np.ndarray) -> Tensor:
     return Tensor(name, dtype, tuple(int(d) for d in arr.shape), flat)
 
 
-def _kernel(node: GraphNode, arrays: Sequence[np.ndarray]) -> np.ndarray:
-    op = node.op_type
-    if op == "MatMul":
-        return arrays[0] @ arrays[1]
-    if op == "Add":
-        return arrays[0] + arrays[1]
-    if op == "Relu":
-        return np.maximum(arrays[0], np.zeros((), dtype=arrays[0].dtype))
-    if op == "Sigmoid":
-        one = np.ones((), dtype=arrays[0].dtype)
-        return one / (one + np.exp(-arrays[0]))
-    if op == "Tanh":
-        return np.tanh(arrays[0])
-    if op == "Softmax":
-        axis = node.attributes["axis"]
-        shifted = arrays[0] - np.max(arrays[0], axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        return e / np.sum(e, axis=axis, keepdims=True)
-    if op == "Concat":
-        return np.concatenate(arrays, axis=node.attributes["axis"])
-    if op == "Reshape":
-        return arrays[0].reshape(node.attributes["target_shape"])
-    if op == "Identity":
-        return arrays[0].copy()
-    raise ExecutionError(f"node '{node.id}' has unknown op_type '{op}'")
-
-
 def apply_node(node: GraphNode, inputs: Sequence[Tensor]) -> list[Tensor]:
     """Evaluate one node; checks dtype agreement and shape legality."""
     if not inputs:
@@ -167,12 +119,13 @@ def apply_node(node: GraphNode, inputs: Sequence[Tensor]) -> list[Tensor]:
             raise ExecutionError(
                 f"node '{node.id}': mixed input dtypes "
                 f"{dtype} and {t.dtype}")
-    if dtype == "i64" and node.op_type in _FLOAT_ONLY_OPS:
+    spec = op_spec(node)
+    if dtype == "i64" and spec.float_only:
         raise ExecutionError(
             f"node '{node.id}': {node.op_type} requires a floating dtype")
 
     out_shapes = node_output_shapes(node, [t.shape for t in inputs])
-    result = _kernel(node, [to_array(t) for t in inputs])
+    result = spec.kernel(node.attributes, [to_array(t) for t in inputs])
     out = from_array(node.outputs[0], dtype, result)
     if out.shape != out_shapes[0]:
         raise ShapeMismatchError(

@@ -167,23 +167,25 @@ def parse_manifest(data: bytes | str) -> SandboxManifest:
 # digests
 
 
-def _tree_frame(h, relpath: str, data: bytes) -> None:
-    h.update(relpath.encode("utf-8") + b"\n")
-    h.update(str(len(data)).encode("ascii") + b"\n")
-    h.update(data + b"\n")
-
-
 def _data_frame(h, data: bytes) -> None:
     h.update(str(len(data)).encode("ascii") + b"\n")
-    h.update(data + b"\n")
+    h.update(data)
+    h.update(b"\n")
+
+
+def _hash_tree(root: Path):
+    """sha-256 state over all files under root, sorted by relative path;
+    each file is framed as its path, its length and its bytes."""
+    h = hashlib.sha256()
+    for relpath in sorted(_walk_files(root)):
+        h.update(relpath.encode("utf-8") + b"\n")
+        _data_frame(h, (root / relpath).read_bytes())
+    return h
 
 
 def digest_tree(root: Path) -> str:
     """sha-256 over all files under root, framed, sorted by relative path."""
-    h = hashlib.sha256()
-    for relpath in sorted(_walk_files(root)):
-        _tree_frame(h, relpath, (root / relpath).read_bytes())
-    return h.hexdigest()
+    return _hash_tree(root).hexdigest()
 
 
 def digest_paths(root: Path, relpaths: tuple[str, ...]) -> str:
@@ -217,9 +219,7 @@ def build_image(manifest: SandboxManifest, work_dir: str | Path,
         if not (work_dir / relpath).is_file():
             raise SandboxError(f"declared input missing: {relpath}")
 
-    h = hashlib.sha256()
-    for relpath in sorted(_walk_files(work_dir)):
-        _tree_frame(h, relpath, (work_dir / relpath).read_bytes())
+    h = _hash_tree(work_dir)
     h.update(manifest.canonical_bytes())
     image_digest = h.hexdigest()
 

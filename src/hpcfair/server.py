@@ -22,7 +22,8 @@ from urllib.parse import parse_qs, urlparse
 
 from ._canonical import dumps_canonical
 from .config import parse_config, validate_config
-from .errors import AuthError, HpcfairError, InvalidArtifactError
+from .errors import AuthError, HpcfairError, InvalidArtifactError, \
+    MalformedDocumentError
 from .registry import ArtifactDraft, Registry, SearchQuery, content_digest
 from .tasks import Dispatcher, TaskResult
 
@@ -137,8 +138,12 @@ class _Handler(BaseHTTPRequestHandler):
         return None
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
-        return self.rfile.read(length) if length else b""
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            # the body's end is unknown, so the connection cannot be reused
+            self.close_connection = True
+            raise MalformedDocumentError(f"invalid Content-Length {raw!r}")
+        return self.rfile.read(int(raw))
 
     def _send_json(self, status: int, body: dict) -> None:
         payload = dumps_canonical(body)

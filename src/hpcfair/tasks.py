@@ -58,7 +58,8 @@ class Dispatcher:
         if store_root is None and store is not None:
             store_root = Path(store.root)
         self.store_root = store_root
-        self._lock = threading.Lock()
+        # reentrant: submit_many takes ids and claims under one hold
+        self._lock = threading.RLock()
         self._counter = 0
         self._active_paths: set[str] = set()
 
@@ -163,16 +164,13 @@ class Dispatcher:
         plans: list[tuple[TaskConfig, str, list[str] | None]] = []
         with self._lock:
             for cfg in configs:
-                digest = hashlib.sha256(
-                    serialize_config(cfg)).hexdigest()[:8]
-                self._counter += 1
-                task_id = f"task-{self._counter:06d}-{digest}"
-                paths = [str(cfg.resolve(p)) for p in cfg.export_files]
-                if set(paths) & self._active_paths:
-                    plans.append((cfg, task_id, None))
-                else:
-                    self._active_paths.update(paths)
-                    plans.append((cfg, task_id, paths))
+                task_id = self.next_task_id(cfg)
+                paths: list[str] | None = self._export_paths(cfg)
+                try:
+                    self._claim(paths)
+                except CollisionError:
+                    paths = None
+                plans.append((cfg, task_id, paths))
 
         def work(plan: tuple[TaskConfig, str, list[str] | None]
                  ) -> TaskResult:

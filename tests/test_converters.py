@@ -116,6 +116,13 @@ class TestSequential:
         with pytest.raises(MalformedDocumentError):
             parse_sequential(sequential_doc([bad]))
 
+    @pytest.mark.parametrize("value", ["1e39", "NaN", "-Infinity"])
+    def test_non_finite_weight_rejected(self, value):
+        doc = ('{"format_tag": "pt-ckpt-v1", "layers": [{"kind": "linear", '
+               f'"weight": [[{value}]], "bias": [0.0]}}]}}')
+        with pytest.raises(MalformedDocumentError, match="not a finite f32"):
+            parse_sequential(doc.encode())
+
     def test_values_are_quantized_to_f32(self):
         layer = {"kind": "linear", "weight": [[0.1]], "bias": [0.0]}
         ckpt = parse_sequential(sequential_doc([layer]))

@@ -318,6 +318,17 @@ class TestSerialization:
         assert g.initializers[0].data[0] == quantize(value, "f32")
         assert g.initializers[0].data[0] != value
 
+    @pytest.mark.parametrize("dtype,value", [
+        ("f32", "1e39"), ("f32", "NaN"), ("f64", "Infinity"), ("f64", "NaN")])
+    def test_non_finite_initializer_rejected(self, dtype, value):
+        doc = ('{"name": "n", "ir_version": 1, "inputs": [], "outputs": '
+               f'[{{"name": "c", "dtype": "{dtype}", "shape": [1]}}], '
+               f'"initializers": [{{"name": "c", "dtype": "{dtype}", '
+               f'"shape": [1], "data": [{value}]}}], "nodes": [], '
+               '"doc": null}')
+        with pytest.raises(MalformedDocumentError, match="not a finite"):
+            parse_graph(doc)
+
     @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
     def test_any_f32_value_survives_the_byte_round_trip(self, value):
         g = InterchangeGraph(

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -128,6 +129,12 @@ class TestAuth:
         cred = store.issue_token("carol", "reader", 3600)
         assert store.authenticate(cred) == ("carol", "reader")
         assert store.authenticate(cred.token) == ("carol", "reader")
+
+    def test_issued_tokens_are_hex(self, store):
+        # a leading '-' would read as an option on the command line
+        for _ in range(64):
+            token = store.issue_token("erin", "reader", 3600).token
+            assert re.fullmatch(r"[0-9a-f]{64}", token), token
 
     def test_missing_credential(self, store):
         with pytest.raises(AuthError) as err:

@@ -9,11 +9,19 @@ import pytest
 import oracle
 from hpcfair.config import load_config, parse_config
 from hpcfair.converters import run_conversion_task
-from hpcfair.errors import ConfigError, ExecutionError, MissingTensorError
+from hpcfair.errors import (
+    ConfigError,
+    ExecutionError,
+    MalformedDocumentError,
+    MissingTensorError,
+    UnknownOperatorError,
+)
 from hpcfair.interchange import (
+    OPERATORS,
     GraphNode,
     InterchangeGraph,
     Tensor,
+    quantize,
     serialize_graph,
 )
 from hpcfair.runtime import (
@@ -71,6 +79,18 @@ class TestApplyNode:
         assert out.shape == (3, 2)
         assert out.data == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
+    @pytest.mark.parametrize("op,attrs", [
+        ("Sigmoid", {}), ("Tanh", {}), ("Softmax", {"axis": 0})])
+    def test_float_only_op_rejects_i64(self, op, attrs):
+        node = GraphNode("n", op, ("x",), ("y",), attrs)
+        with pytest.raises(ExecutionError, match="requires a floating dtype"):
+            apply_node(node, [t("x", (2,), (1, 2), dtype="i64")])
+
+    def test_unknown_op_is_typed(self):
+        node = GraphNode("n", "Gelu", ("x",), ("y",))
+        with pytest.raises(UnknownOperatorError, match="Gelu"):
+            apply_node(node, [t("x", (1,), (1.0,))])
+
     def test_i64_add_stays_integer(self):
         node = GraphNode("n", "Add", ("a", "b"), ("c",))
         (out,) = apply_node(node, [
@@ -79,6 +99,13 @@ class TestApplyNode:
         ])
         assert out.data == (11, 0)
         assert all(isinstance(v, int) for v in out.data)
+
+
+def test_every_operator_has_a_shape_rule_and_a_kernel():
+    assert len(OPERATORS) == 9
+    for name, spec in OPERATORS.items():
+        assert callable(spec.shape_rule), name
+        assert callable(spec.kernel), name
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +182,29 @@ class TestTensorSetFiles:
         assert again.names() == ts.names()
         for name in ts.names():
             assert again[name] == ts[name]
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "x", "dtype": "f32", "shape": [1], "data": ["a"]},
+        {"name": "x", "dtype": "f32", "shape": [1], "data": [True]},
+        {"name": "x", "dtype": "i64", "shape": [1], "data": [1.5]},
+        {"name": "x", "dtype": "f32", "shape": 1, "data": [1.0]},
+        {"name": 7, "dtype": "f32", "shape": [1], "data": [1.0]},
+        {"name": "x", "dtype": "f32", "shape": [1], "data": [1e39]},
+        {"name": "x", "dtype": "f32", "shape": [1]},
+        {"name": "x", "dtype": "f32", "shape": [1], "data": [1.0], "y": 1},
+    ])
+    def test_malformed_entries_rejected(self, entry):
+        with pytest.raises(MalformedDocumentError):
+            parse_tensor_set(json.dumps([entry]))
+
+    def test_non_finite_literal_rejected(self):
+        doc = '[{"name": "x", "dtype": "f64", "shape": [1], "data": [NaN]}]'
+        with pytest.raises(MalformedDocumentError, match="not a finite f64"):
+            parse_tensor_set(doc)
+
+    def test_f32_values_snap_at_parse(self):
+        doc = '[{"name": "x", "dtype": "f32", "shape": [1], "data": [0.1]}]'
+        assert parse_tensor_set(doc)["x"].data == (quantize(0.1, "f32"),)
 
     def test_serialization_is_canonical(self):
         ts1 = NamedTensorSet.from_tensors([t("b", (1,), (2.0,)),

@@ -1,6 +1,7 @@
 """HTTP service: upload, fetch, search, and async task endpoints."""
 
 import json
+import socket
 import time
 
 import pytest
@@ -99,6 +100,24 @@ class TestArtifactEndpoints:
         r = push(server, expired.token)
         assert r.status_code == 401
         assert r.json()["error"]["code"] == "expired_token"
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400_and_closes(self, server, publisher,
+                                                  length):
+        host, port = server.address.rsplit("/", 1)[-1].split(":")
+        request = (f"POST /v1/artifacts HTTP/1.1\r\nHost: {host}\r\n"
+                   f"Authorization: Bearer {publisher.token}\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode()
+        start = time.monotonic()
+        with socket.create_connection((host, int(port)), timeout=2) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes the socket
+                reply += chunk
+        assert time.monotonic() - start < 2
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(body)["error"]["code"] == "malformed_document"
 
 
 class TestSearchEndpoint:

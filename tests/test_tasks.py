@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import json
 import re
+
+import pytest
 
 from hpcfair.config import load_config, serialize_config
 from hpcfair.tasks import Dispatcher
@@ -69,6 +72,28 @@ class TestDispatch:
         assert result.status == "failed"
         assert result.error["code"] == "invalid_config"
         assert "inference requires task_args.input" in result.error["message"]
+
+    def test_non_finite_checkpoint_weight_fails_typed(self, demo_workspace):
+        encoder = json.loads(json.dumps(demo_workspace.encoder_doc))
+        encoder["layers"][0]["weight"][0][0] = 1e39  # inf as f32
+        (demo_workspace.root / "ckpt" / "encoder.ckpt").write_text(
+            json.dumps(encoder))
+        result = Dispatcher().dispatch(conversion_cfg(demo_workspace))
+        assert result.status == "failed"
+        assert result.error["code"] == "malformed_document"
+
+    @pytest.mark.parametrize("data", [["a"] * 4, [True] * 4,
+                                      [1e39, 0.0, 0.0, 0.0]])
+    def test_malformed_inference_input_fails_typed(self, demo_workspace,
+                                                   data):
+        d = Dispatcher()
+        assert d.dispatch(conversion_cfg(demo_workspace)).status \
+            == "succeeded"
+        (demo_workspace.root / "input.txt").write_text(json.dumps(
+            [{"name": "x", "dtype": "f32", "shape": [1, 4], "data": data}]))
+        result = d.dispatch(collaboration_cfg(demo_workspace))
+        assert result.status == "failed"
+        assert result.error["code"] == "malformed_document"
 
     def test_container_task_logs_run_line(self, demo_workspace):
         result = Dispatcher().dispatch(
