@@ -16,11 +16,11 @@ import sys
 from pathlib import Path
 
 from ._canonical import dumps_canonical
-from .config import load_config
+from .client import ModelAPI, TaskFailed, request
 from .errors import HpcfairError
-from .registry import ArtifactDraft, Registry, SearchQuery, content_digest
+from .registry import ArtifactDraft, ArtifactRecord, Registry, SearchQuery, \
+    content_digest
 from .server import HpcfairServer, ok_body
-from .tasks import Dispatcher
 
 logger = logging.getLogger(__name__)
 
@@ -75,44 +75,41 @@ def _print_body(args, body: dict) -> None:
         sys.stdout.write(dumps_canonical(body).decode("utf-8"))
 
 
+def _print_records(args, records: list[ArtifactRecord],
+                   with_tags: bool) -> None:
+    _print_body(args, ok_body({"records": [r.to_dict() for r in records]}))
+    if args.format == "text":
+        for record in records:
+            tags = f" tags={','.join(record.tags)}" if with_tags else ""
+            print(f"{record.pid}  {record.title} "
+                  f"({record.artifact_type}/{record.backend_tag}){tags}")
+
+
 def _registry(parser: argparse.ArgumentParser, args) -> Registry:
     if not args.store:
         parser.error("this command needs --store (or HPCFAIR_STORE)")
     return Registry(args.store)
 
 
-def _headers(args) -> dict:
-    return {"Authorization": f"Bearer {args.token}"} if args.token else {}
-
-
 def cmd_push(parser, args) -> int:
     meta = json.loads(Path(args.meta).read_text("utf-8"))
     content = Path(args.content).read_bytes()
     if args.addr:
-        import requests
         payload = json.dumps(meta).encode("utf-8") + b"\n" + content
-        response = requests.post(f"{args.addr}/v1/artifacts", data=payload,
-                                 headers=_headers(args))
-        return _finish_remote(args, response)
-    records = _registry(parser, args).register_artifact(
-        content, ArtifactDraft.from_dict(meta), args.token)
-    _print_body(args, ok_body({"records": [r.to_dict() for r in records]}))
-    if args.format == "text":
-        for record in records:
-            print(f"{record.pid}  {record.title} "
-                  f"({record.artifact_type}/{record.backend_tag})")
+        data = request(args.addr, "POST", "/v1/artifacts", token=args.token,
+                       data=payload)
+        records = [ArtifactRecord.from_dict(r) for r in data["records"]]
+    else:
+        records = _registry(parser, args).register_artifact(
+            content, ArtifactDraft.from_dict(meta), args.token)
+    _print_records(args, records, with_tags=False)
     return 0
 
 
 def cmd_pull(parser, args) -> int:
     if args.addr:
-        import requests
-        response = requests.get(
-            f"{args.addr}/v1/artifacts/{args.pid}/content",
-            headers=_headers(args))
-        if response.status_code != 200:
-            return _finish_remote(args, response)
-        blob = response.content
+        blob = request(args.addr, "GET", f"/v1/artifacts/{args.pid}/content",
+                       token=args.token)
     else:
         blob = _registry(parser, args).fetch_content(args.pid, args.token)
     Path(args.out).write_bytes(blob)
@@ -129,33 +126,27 @@ def cmd_search(parser, args) -> int:
         parser.error("search needs at least one of "
                      "--tags/--type/--backend/--title")
     if args.addr:
-        import requests
         params = {"tags": ",".join(tags), "type": args.artifact_type or "",
                   "backend": args.backend or "", "title": args.title or ""}
-        response = requests.get(f"{args.addr}/v1/search", params=params)
-        return _finish_remote(args, response)
-    records = _registry(parser, args).search(SearchQuery(
-        tags=tags, artifact_type=args.artifact_type,
-        backend_tag=args.backend, title_substring=args.title))
-    _print_body(args, ok_body({"records": [r.to_dict() for r in records]}))
-    if args.format == "text":
-        for record in records:
-            print(f"{record.pid}  {record.title} "
-                  f"({record.artifact_type}/{record.backend_tag}) "
-                  f"tags={','.join(record.tags)}")
+        data = request(args.addr, "GET", "/v1/search", params=params)
+        records = [ArtifactRecord.from_dict(r) for r in data["records"]]
+    else:
+        records = _registry(parser, args).search(SearchQuery(
+            tags=tags, artifact_type=args.artifact_type,
+            backend_tag=args.backend, title_substring=args.title))
+    _print_records(args, records, with_tags=True)
     return 0
 
 
 def cmd_run(parser, args) -> int:
-    cfg = load_config(args.config)
-    store = Registry(args.store) if args.store else None
-    result = Dispatcher(store=store).dispatch(cfg)
+    store = Registry(args.store) if args.store and not args.addr else None
+    api = ModelAPI(address=args.addr, token=args.token, store=store)
+    try:
+        result = api._submit(api._load(args.config, expect=None))
+    except TaskFailed as exc:
+        _print_body(args, ok_body(exc.result.to_dict()))
+        raise
     _print_body(args, ok_body(result.to_dict()))
-    if result.status != "succeeded":
-        error = result.error or {}
-        print(f"error: {error.get('code')}: {error.get('message')}",
-              file=sys.stderr)
-        return 1
     if args.format == "text":
         for output in result.outputs:
             print(output)
@@ -180,21 +171,6 @@ def cmd_serve(parser, args) -> int:
     server = HpcfairServer(_registry(parser, args), host, int(port))
     print(f"serving on {server.address}", file=sys.stderr)
     server.serve_forever()
-    return 0
-
-
-def _finish_remote(args, response) -> int:
-    if args.format == "json":
-        sys.stdout.write(response.text)
-    is_json = "json" in response.headers.get("Content-Type", "")
-    body = response.json() if is_json else {}
-    if response.status_code >= 400 or not body.get("ok", True):
-        error = body.get("error", {})
-        print(f"error: {error.get('code')}: {error.get('message')}",
-              file=sys.stderr)
-        return 1
-    if args.format == "text":
-        print(json.dumps(body.get("data", {}), indent=2))
     return 0
 
 

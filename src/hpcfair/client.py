@@ -9,7 +9,7 @@
 Each verb loads a config file, submits it, waits for completion, and
 returns the TaskResult; a failed task raises instead of returning partial
 success.  With no address the client runs tasks in-process; with an address
-it submits over HTTP and polls.
+it submits and polls through ``request``, the service's one HTTP client.
 """
 
 from __future__ import annotations
@@ -29,6 +29,38 @@ _POLL_SECONDS = 0.05
 _POLL_TIMEOUT = 60.0
 
 
+def request(address: str, method: str, path: str, *,
+            token: str | None = None, **kwargs):
+    """One call to an hpcfair server: returns the envelope's ``data``, or
+    the bytes of an octet-stream response.  A failure raises HpcfairError
+    with the server's code and the envelope's ``data`` as details; an
+    unreachable address or a reply without an envelope raises one naming
+    the address.  Uses module-level ``requests.get``/``post`` (no Session).
+    """
+    import requests
+
+    headers = {"Authorization": f"Bearer {token}"} if token else {}
+    send = requests.post if method == "POST" else requests.get
+    try:
+        response = send(f"{address}{path}", headers=headers, **kwargs)
+    except requests.ConnectionError as exc:
+        raise HpcfairError(f"cannot reach {address}: {exc}",
+                           code="connection_error") from None
+    if response.ok and response.headers.get("Content-Type") == \
+            "application/octet-stream":
+        return response.content
+    try:
+        body = response.json()
+        if body["ok"]:
+            return body["data"]
+        code, message = body["error"]["code"], body["error"]["message"]
+    except (ValueError, TypeError, KeyError):
+        raise HpcfairError(
+            f"{method} {address}{path} answered {response.status_code} "
+            "without an hpcfair envelope", code="bad_response") from None
+    raise HpcfairError(message, code=code, details=body.get("data"))
+
+
 class TaskFailed(HpcfairError):
     """A submitted task finished with status "failed"."""
 
@@ -36,11 +68,11 @@ class TaskFailed(HpcfairError):
 
     def __init__(self, result: TaskResult):
         error = result.error or {}
-        code = error.get("code", "task_failed")
-        message = error.get("message", "task failed")
-        super().__init__(f"task {result.task_id} failed: {message}",
-                         details={"task_id": result.task_id})
-        self.code = code
+        super().__init__(
+            f"task {result.task_id} failed: "
+            f"{error.get('message', 'task failed')}",
+            code=error.get("code", "task_failed"),
+            details={"task_id": result.task_id})
         self.result = result
 
 
@@ -90,13 +122,13 @@ class ModelAPI:
     # -- mechanics -------------------------------------------------------------
 
     def _load(self, config_path: str | Path,
-              expect: str) -> tuple[TaskConfig, bytes]:
+              expect: str | None) -> tuple[TaskConfig, bytes]:
         path = Path(config_path)
         if not path.is_file():
             raise FileNotFoundError(f"config file not found: {path}")
         raw = path.read_bytes()
         cfg = parse_config(raw, base_dir=path.parent)
-        if cfg.general.task != expect:
+        if expect is not None and cfg.general.task != expect:
             raise ConfigError(
                 f"this verb handles task '{expect}', the config declares "
                 f"{cfg.general.task!r}")
@@ -115,35 +147,16 @@ class ModelAPI:
         return result
 
     def _submit_http(self, raw: bytes) -> TaskResult:
-        import requests
-
-        headers = {}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        response = requests.post(f"{self.address}/v1/tasks",
-                                 data=raw, headers=headers)
-        body = response.json()
-        if not body.get("ok"):
-            error = body.get("error", {})
-            raise HpcfairError(
-                error.get("message", f"task submission failed "
-                                     f"({response.status_code})"),
-                details={"code": error.get("code")})
-        task_id = body["data"]["task_id"]
-
+        task_id = request(self.address, "POST", "/v1/tasks",
+                          token=self.token, data=raw)["task_id"]
         deadline = time.monotonic() + _POLL_TIMEOUT
         while True:
-            poll = requests.get(f"{self.address}/v1/tasks/{task_id}",
-                                headers=headers)
-            data = poll.json().get("data", {})
-            if data.get("status") in ("succeeded", "failed"):
-                return TaskResult(
-                    task_id=data["task_id"],
-                    status=data["status"],
-                    outputs=tuple(data.get("outputs", ())),
-                    log=tuple(data.get("log", ())),
-                    error=data.get("error"),
-                )
+            data = request(self.address, "GET", f"/v1/tasks/{task_id}",
+                           token=self.token)
+            if data["status"] in ("succeeded", "failed"):
+                return TaskResult(data["task_id"], data["status"],
+                                  tuple(data["outputs"]), tuple(data["log"]),
+                                  data["error"])
             if time.monotonic() > deadline:
                 raise HpcfairError(f"task {task_id} did not finish within "
                                    f"{_POLL_TIMEOUT:.0f}s")

@@ -238,18 +238,6 @@ def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
     return LayerDagCheckpoint(tuple(inputs), nodes, tuple(raw_outputs))
 
 
-def load_checkpoint(path: str | Path
-                    ) -> SequentialCheckpoint | LayerDagCheckpoint:
-    """Read a checkpoint file, dispatching on its format_tag."""
-    data = Path(path).read_bytes()
-    tag = _load_doc(data).get("format_tag")
-    if tag == SEQUENTIAL_TAG:
-        return parse_sequential(data)
-    if tag == LAYERDAG_TAG:
-        return parse_layerdag(data)
-    raise MalformedDocumentError(f"unknown checkpoint format_tag {tag!r}")
-
-
 # ---------------------------------------------------------------------------
 # conversion to interchange graphs
 

@@ -15,8 +15,11 @@ class HpcfairError(Exception):
 
     code = "internal_error"
 
-    def __init__(self, message: str, *, details: dict[str, Any] | None = None):
+    def __init__(self, message: str, *, code: str | None = None,
+                 details: dict[str, Any] | None = None):
         super().__init__(message)
+        if code is not None:
+            self.code = code
         self.details = details or {}
 
     @property
@@ -91,11 +94,6 @@ class AuthError(HpcfairError):
 
     code = "unauthorized"
 
-    def __init__(self, message: str, *, code: str = "unauthorized",
-                 details: dict[str, Any] | None = None):
-        super().__init__(message, details=details)
-        self.code = code
-
 
 class DuplicateContentError(HpcfairError):
     code = "duplicate_content"
@@ -107,6 +105,10 @@ class DuplicateContentError(HpcfairError):
 
 class UnknownPidError(HpcfairError):
     code = "unknown_pid"
+
+
+class UnknownTaskError(HpcfairError):
+    code = "unknown_task"
 
 
 class IntegrityError(HpcfairError):

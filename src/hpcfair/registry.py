@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from ._canonical import dumps_canonical, loads_canonical
 from .converters import convert_checkpoint_bytes
@@ -179,6 +179,38 @@ def _token_of(cred: Credential | str | None) -> str | None:
     return cred.token if isinstance(cred, Credential) else cred
 
 
+def _whole_lines(path: Path, *, repair: bool = False) -> list[bytes]:
+    """The lines of an append-only log.  A torn (unterminated) last line is
+    ignored with a warning, and with ``repair`` cut off so that the next
+    append starts a fresh line."""
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    torn = lines.pop()  # empty unless the last append was cut short
+    if torn:
+        logger.warning("%s ends in a torn line of %d bytes; ignoring it",
+                       path, len(torn))
+        if repair:
+            with open(path, "r+b") as fh:
+                fh.truncate(len(data) - len(torn))
+    return lines
+
+
+def _read_log(path: Path, *, repair: bool = False) -> Iterator[Any]:
+    """Rows of ``meta.log`` or ``tokens``, one canonical JSON value per
+    whole line; a whole line that does not parse raises IntegrityError."""
+    for number, line in enumerate(_whole_lines(path, repair=repair), 1):
+        if not line.strip():
+            continue
+        try:
+            row = loads_canonical(line)
+        except ValueError as exc:
+            raise IntegrityError(
+                f"{path} line {number} does not parse: {exc}") from None
+        yield row
+
+
 def _slug(text: str) -> str:
     slug = "".join(c if c.isalnum() or c in "-_." else "-" for c in text)
     return slug.strip("-") or "model"
@@ -197,15 +229,12 @@ class Registry:
         self._write_lock = threading.Lock()
         self._records: dict[str, ArtifactRecord] = {}
         self._by_hash: dict[str, str] = {}  # content_hash -> pid
+        _whole_lines(self.token_file, repair=True)
         self._load()
 
     def _load(self) -> None:
-        if not self.meta_log.exists():
-            return
-        for line in self.meta_log.read_text("utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = ArtifactRecord.from_dict(loads_canonical(line))
+        for row in _read_log(self.meta_log, repair=True):
+            record = ArtifactRecord.from_dict(row)
             self._records[record.pid] = record
             self._by_hash[record.content_hash] = record.pid
         logger.info("registry loaded: %d records", len(self._records))
@@ -245,18 +274,14 @@ class Registry:
         token = _token_of(cred)
         if not token:
             raise AuthError("missing credential", code="unauthorized")
-        if self.token_file.exists():
-            for line in self.token_file.read_text("utf-8").splitlines():
-                if not line.strip():
-                    continue
-                row = loads_canonical(line)
-                if self._hash_token(row["salt"], token) != row["token_hash"]:
-                    continue
-                expires_at = datetime.fromisoformat(row["expires_at"])
-                if datetime.now(timezone.utc) >= expires_at:
-                    raise AuthError("credential has expired",
-                                    code="expired_token")
-                return row["account"], row["role"]
+        for row in _read_log(self.token_file):
+            if self._hash_token(row["salt"], token) != row["token_hash"]:
+                continue
+            expires_at = datetime.fromisoformat(row["expires_at"])
+            if datetime.now(timezone.utc) >= expires_at:
+                raise AuthError("credential has expired",
+                                code="expired_token")
+            return row["account"], row["role"]
         raise AuthError("unknown credential", code="unknown_token")
 
     def _require_role(self, cred: Credential | str | None,

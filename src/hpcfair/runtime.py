@@ -10,6 +10,7 @@ warning; this runtime has no accelerator backend.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -78,8 +79,14 @@ class NamedTensorSet:
 
 def serialize_tensor_set(ts: NamedTensorSet) -> bytes:
     """Canonical bytes: entries sorted by name, interchange number rules."""
-    return dumps_canonical([_tensor_to_doc(ts[name], with_data=True)
-                            for name in ts.names()])
+    docs = [_tensor_to_doc(ts[name], with_data=True) for name in ts.names()]
+    try:
+        return dumps_canonical(docs)
+    except ValueError:  # only non-finite floats have no JSON form
+        bad = next(doc["name"] for doc in docs
+                   if not all(math.isfinite(x) for x in doc["data"]))
+        raise ExecutionError(f"tensor '{bad}' holds a non-finite value "
+                             "(f32 overflow or NaN)") from None
 
 
 def parse_tensor_set(data: bytes | str) -> NamedTensorSet:

@@ -23,7 +23,7 @@ from urllib.parse import parse_qs, urlparse
 from ._canonical import dumps_canonical
 from .config import parse_config, validate_config
 from .errors import AuthError, HpcfairError, InvalidArtifactError, \
-    MalformedDocumentError
+    MalformedDocumentError, UnknownTaskError
 from .registry import ArtifactDraft, Registry, SearchQuery, content_digest
 from .tasks import Dispatcher, TaskResult
 
@@ -36,6 +36,7 @@ _STATUS_BY_CODE = {
     "forbidden": 403,
     "unknown_pid": 404,
     "unknown_task": 404,
+    "not_found": 404,
     "duplicate_content": 409,
     "integrity_failure": 500,
     "internal_error": 500,
@@ -111,7 +112,7 @@ class HpcfairServer:
     def task_status(self, task_id: str) -> dict:
         with self._tasks_lock:
             if task_id not in self._tasks:
-                raise HpcfairError(f"unknown task id {task_id}")
+                raise UnknownTaskError(f"unknown task id {task_id}")
             result = self._tasks[task_id]
         if result is None:
             return {"task_id": task_id, "status": "running"}
@@ -153,7 +154,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_error(self, exc: HpcfairError, data=None) -> None:
+    def _send_error(self, exc: HpcfairError) -> None:
+        # a duplicate upload names the artifact that already holds the bytes
+        data = {"pid": exc.details["existing_pid"]} \
+            if exc.code == "duplicate_content" else None
         self._send_json(status_for(exc.code),
                         error_body(exc.code, exc.message, data))
 
@@ -168,21 +172,18 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routing ---------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        try:
-            self._route_get()
-        except HpcfairError as exc:
-            self._send_error(exc)
-        except Exception as exc:
-            logger.exception("GET %s failed", self.path)
-            self._send_json(500, error_body("internal_error", str(exc)))
+        self._handle(self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        self._handle(self._route_post)
+
+    def _handle(self, route) -> None:
         try:
-            self._route_post()
+            route()
         except HpcfairError as exc:
             self._send_error(exc)
         except Exception as exc:
-            logger.exception("POST %s failed", self.path)
+            logger.exception("%s %s failed", self.command, self.path)
             self._send_json(500, error_body("internal_error", str(exc)))
 
     def _route_get(self) -> None:
@@ -202,13 +203,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, ok_body(
                 {"records": [r.to_dict() for r in records]}))
         elif parts[:2] == ["v1", "tasks"] and len(parts) == 3:
-            try:
-                self._send_json(200, ok_body(self.app.task_status(parts[2])))
-            except HpcfairError as exc:
-                self._send_json(404, error_body("unknown_task", exc.message))
+            self._send_json(200, ok_body(self.app.task_status(parts[2])))
         else:
-            self._send_json(404, error_body("not_found",
-                                            f"no route for {url.path}"))
+            raise HpcfairError(f"no route for {url.path}", code="not_found")
 
     def _route_post(self) -> None:
         url = urlparse(self.path)
@@ -219,14 +216,8 @@ class _Handler(BaseHTTPRequestHandler):
             if token is None:
                 raise AuthError("missing bearer token")
             meta, content = _split_upload(self._body())
-            try:
-                records = self.app.registry.register_artifact(
-                    content, ArtifactDraft.from_dict(meta), token)
-            except HpcfairError as exc:
-                data = {"pid": exc.details["existing_pid"]} \
-                    if exc.code == "duplicate_content" else None
-                self._send_error(exc, data)
-                return
+            records = self.app.registry.register_artifact(
+                content, ArtifactDraft.from_dict(meta), token)
             self._send_json(201, ok_body(
                 {"records": [r.to_dict() for r in records]}))
         elif parts == ["v1", "tasks"]:
@@ -245,8 +236,7 @@ class _Handler(BaseHTTPRequestHandler):
             task_id = self.app.submit_task(cfg)
             self._send_json(202, ok_body({"task_id": task_id}))
         else:
-            self._send_json(404, error_body("not_found",
-                                            f"no route for {url.path}"))
+            raise HpcfairError(f"no route for {url.path}", code="not_found")
 
 
 def _parse_search(query_string: str) -> SearchQuery:

@@ -53,11 +53,9 @@ def _now() -> str:
 class Dispatcher:
     """Routes configs to task executors; safe for concurrent callers."""
 
-    def __init__(self, store: Any = None, store_root: Path | None = None):
+    def __init__(self, store: Any = None):
         self.store = store
-        if store_root is None and store is not None:
-            store_root = Path(store.root)
-        self.store_root = store_root
+        self.store_root = Path(store.root) if store is not None else None
         # reentrant: submit_many takes ids and claims under one hold
         self._lock = threading.RLock()
         self._counter = 0

@@ -255,6 +255,15 @@ class TestDurability:
             assert again.fetch_metadata(rec.pid) == rec
         assert again.fetch_content(records[0].pid, cred) == content
 
+    def test_title_with_a_unicode_line_separator_replays(self, tmp_path):
+        # the log is split on "\n" only; str.splitlines also splits U+2028
+        root = tmp_path / "r"
+        first = Registry(root)
+        cred = first.issue_token("alice", "publisher", 3600)
+        records = first.register_artifact(b"x", draft(
+            "line\u2028sep", artifact_type="dataset", backend="csv"), cred)
+        assert Registry(root).all_records() == records
+
     def test_search_after_restart(self, tmp_path):
         root = tmp_path / "r"
         first = Registry(root)
@@ -266,3 +275,70 @@ class TestDurability:
             tags=("kept",))))
             == sorted(r.pid for r in first.search(SearchQuery(
                 tags=("kept",)))))
+
+
+class TestTornLogs:
+    """A crash mid-append leaves an unterminated last line; reopening drops
+    it and later appends start a fresh line."""
+
+    def test_meta_log_cut_at_every_offset(self, tmp_path, caplog):
+        root = tmp_path / "r"
+        first = Registry(root)
+        cred = first.issue_token("alice", "publisher", 3600)
+        kept = first.register_artifact(b"kept", draft(
+            "Kept", artifact_type="dataset", backend="csv"), cred)
+        first.register_artifact(b"cut", draft(
+            "Cut", artifact_type="dataset", backend="csv"), cred)
+        full = first.meta_log.read_bytes()
+        start = full.rindex(b"\n", 0, len(full) - 1) + 1
+
+        for offset in range(start, len(full)):
+            first.meta_log.write_bytes(full[:offset])
+            reopened = Registry(root)
+            assert reopened.all_records() == kept
+            new = reopened.register_artifact(b"new", draft(
+                "New", artifact_type="dataset", backend="csv"), cred)
+            assert [r.pid for r in Registry(root).all_records()] == \
+                [kept[0].pid, new[0].pid]
+        assert "meta.log ends in a torn line" in caplog.text
+
+    def test_tokens_cut_at_every_offset(self, tmp_path):
+        root = tmp_path / "r"
+        first = Registry(root)
+        kept = first.issue_token("alice", "reader", 3600)
+        torn = first.issue_token("bob", "reader", 3600)
+        full = first.token_file.read_bytes()
+        start = full.rindex(b"\n", 0, len(full) - 1) + 1
+
+        for offset in range(start, len(full)):
+            first.token_file.write_bytes(full[:offset])
+            reopened = Registry(root)
+            assert reopened.authenticate(kept) == ("alice", "reader")
+            for token in (torn, "f" * 64):
+                with pytest.raises(AuthError) as err:
+                    reopened.authenticate(token)
+                assert err.value.code == "unknown_token"
+            new = reopened.issue_token("carol", "publisher", 3600)
+            again = Registry(root)
+            assert again.authenticate(kept) == ("alice", "reader")
+            assert again.authenticate(new) == ("carol", "publisher")
+
+    def test_torn_tokens_line_is_ignored_before_reopen(self, store, reader):
+        with open(store.token_file, "ab") as fh:
+            fh.write(b'{"token_hash":"ab')
+        assert store.authenticate(reader) == ("bob", "reader")
+        with pytest.raises(AuthError) as err:
+            store.authenticate("f" * 64)
+        assert err.value.code == "unknown_token"
+
+    @pytest.mark.parametrize("name,read", [
+        ("meta.log", Registry),
+        ("tokens", lambda root: Registry(root).authenticate("f" * 64))])
+    def test_corrupt_whole_line_is_an_integrity_failure(self, tmp_path,
+                                                        name, read):
+        root = tmp_path / "r"
+        Registry(root).issue_token("alice", "publisher", 3600)
+        with open(root / name, "ab") as fh:
+            fh.write(b'{"not json\n')
+        with pytest.raises(IntegrityError, match=f"{name} line"):
+            read(root)

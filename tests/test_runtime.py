@@ -32,6 +32,7 @@ from hpcfair.runtime import (
     run_inference_task,
     serialize_tensor_set,
 )
+from hpcfair.tasks import Dispatcher
 
 
 def t(name, shape, data, dtype="f32"):
@@ -202,6 +203,12 @@ class TestTensorSetFiles:
         with pytest.raises(MalformedDocumentError, match="not a finite f64"):
             parse_tensor_set(doc)
 
+    def test_non_finite_value_is_named_at_serialize(self):
+        ts = NamedTensorSet.from_tensors([t("a", (1,), (1.0,)),
+                                          t("b", (2,), (0.0, float("inf")))])
+        with pytest.raises(ExecutionError, match="tensor 'b'"):
+            serialize_tensor_set(ts)
+
     def test_f32_values_snap_at_parse(self):
         doc = '[{"name": "x", "dtype": "f32", "shape": [1], "data": [0.1]}]'
         assert parse_tensor_set(doc)["x"].data == (quantize(0.1, "f32"),)
@@ -257,6 +264,21 @@ class TestInferenceTask:
         assert out_path == tmp_path / "o.txt"
         written = parse_tensor_set(out_path.read_bytes())
         assert written["y"].data == x.data
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_f32_overflow_fails_as_execution_error(self, tmp_path):
+        g = InterchangeGraph(
+            name="add", ir_version=1,
+            inputs=(Tensor("x", "f32", (1, 2)),),
+            outputs=(Tensor("y", "f32", (1, 2)),),
+            nodes=(GraphNode("n", "Add", ("x", "x"), ("y",)),),
+        )
+        cfg = write_inference_setup(tmp_path, g, t("x", (1, 2), (3e38, 1.0)))
+        result = Dispatcher().dispatch(cfg)
+        assert result.status == "failed"
+        assert result.error["code"] == "execution_error"
+        assert "tensor 'y'" in result.error["message"]
+        assert not (tmp_path / "o.txt").exists()
 
     def test_collaboration_demo_writes_decoder_outputs(self, demo_workspace):
         root = demo_workspace.root
