@@ -6,7 +6,8 @@ are detected by construction.  Metadata lives in an append-only log
 (``meta.log``) replayed into an in-memory index on startup; blobs live under
 ``blobs/<hh>/<fullhash>``; credentials are stored only as salted hashes in
 ``tokens``.  Pushing a "pt" or "tf" model automatically registers a
-companion interchange artifact with a "converted-from" provenance edge.
+companion interchange artifact with a "converted-from" provenance edge; the
+two records are one ``meta.log`` batch, kept or lost together.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
-from ._canonical import dumps_canonical, loads_canonical
-from .converters import convert_checkpoint_bytes
+from ._canonical import append_records, read_records
+from .converters import BACKENDS, convert_checkpoint_bytes
 from .errors import (
     AuthError,
     ConfigError,
@@ -38,7 +39,6 @@ logger = logging.getLogger(__name__)
 ARTIFACT_TYPES = ("model", "dataset", "container-manifest")
 ROLES = ("reader", "publisher")
 PROVENANCE_OPS = ("converted-from", "composed-from", "derived-from")
-CONVERTIBLE_BACKENDS = ("pt", "tf")
 
 _TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
@@ -179,38 +179,6 @@ def _token_of(cred: Credential | str | None) -> str | None:
     return cred.token if isinstance(cred, Credential) else cred
 
 
-def _whole_lines(path: Path, *, repair: bool = False) -> list[bytes]:
-    """The lines of an append-only log.  A torn (unterminated) last line is
-    ignored with a warning, and with ``repair`` cut off so that the next
-    append starts a fresh line."""
-    if not path.exists():
-        return []
-    data = path.read_bytes()
-    lines = data.split(b"\n")
-    torn = lines.pop()  # empty unless the last append was cut short
-    if torn:
-        logger.warning("%s ends in a torn line of %d bytes; ignoring it",
-                       path, len(torn))
-        if repair:
-            with open(path, "r+b") as fh:
-                fh.truncate(len(data) - len(torn))
-    return lines
-
-
-def _read_log(path: Path, *, repair: bool = False) -> Iterator[Any]:
-    """Rows of ``meta.log`` or ``tokens``, one canonical JSON value per
-    whole line; a whole line that does not parse raises IntegrityError."""
-    for number, line in enumerate(_whole_lines(path, repair=repair), 1):
-        if not line.strip():
-            continue
-        try:
-            row = loads_canonical(line)
-        except ValueError as exc:
-            raise IntegrityError(
-                f"{path} line {number} does not parse: {exc}") from None
-        yield row
-
-
 def _slug(text: str) -> str:
     slug = "".join(c if c.isalnum() or c in "-_." else "-" for c in text)
     return slug.strip("-") or "model"
@@ -229,11 +197,13 @@ class Registry:
         self._write_lock = threading.Lock()
         self._records: dict[str, ArtifactRecord] = {}
         self._by_hash: dict[str, str] = {}  # content_hash -> pid
-        _whole_lines(self.token_file, repair=True)
+        if self.token_file.exists():
+            # authenticate reads tokens on every call; cut a torn tail once
+            append_records(self.token_file, [])
         self._load()
 
     def _load(self) -> None:
-        for row in _read_log(self.meta_log, repair=True):
+        for row in read_records(self.meta_log):
             record = ArtifactRecord.from_dict(row)
             self._records[record.pid] = record
             self._by_hash[record.content_hash] = record.pid
@@ -260,9 +230,7 @@ class Registry:
             "role": role,
             "expires_at": expires_at.isoformat(),
         }
-        with self._write_lock:
-            with open(self.token_file, "ab") as fh:
-                fh.write(dumps_canonical(row))
+        append_records(self.token_file, [row])
         return Credential(token, account, role, expires_at)
 
     @staticmethod
@@ -274,7 +242,7 @@ class Registry:
         token = _token_of(cred)
         if not token:
             raise AuthError("missing credential", code="unauthorized")
-        for row in _read_log(self.token_file):
+        for row in read_records(self.token_file):
             if self._hash_token(row["salt"], token) != row["token_hash"]:
                 continue
             expires_at = datetime.fromisoformat(row["expires_at"])
@@ -308,7 +276,7 @@ class Registry:
         with self._write_lock:
             planned = [(content, self._complete(content, draft, account))]
             if draft.artifact_type == "model" and \
-                    draft.backend_tag in CONVERTIBLE_BACKENDS:
+                    draft.backend_tag in BACKENDS:
                 planned.append(self._plan_companion(planned[0][1], content,
                                                     draft, account))
 
@@ -335,9 +303,8 @@ class Registry:
 
             for blob, record in planned:
                 self._write_blob(record.content_hash, blob)
-            with open(self.meta_log, "ab") as fh:
-                for _, record in planned:
-                    fh.write(dumps_canonical(record.to_dict()))
+            append_records(self.meta_log,
+                           [record.to_dict() for _, record in planned])
             for _, record in planned:
                 self._records[record.pid] = record
                 self._by_hash[record.content_hash] = record.pid

@@ -39,7 +39,7 @@ from typing import Mapping
 
 import yaml
 
-from ._canonical import dumps_canonical
+from ._canonical import append_records, dumps_canonical
 from .config import TaskConfig, as_list
 from .errors import ConfigError, MalformedDocumentError, SandboxError, \
     UnknownBackendError
@@ -49,6 +49,7 @@ logger = logging.getLogger(__name__)
 _MANIFEST_KEYS = ("build_tag", "entrypoint", "env", "inputs", "outputs",
                   "volume")
 _BASELINE_ENV = ("PATH", "LC_ALL")
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,19 @@ def parse_manifest(data: bytes | str) -> SandboxManifest:
 # digests
 
 
-def _data_frame(h, data: bytes) -> None:
-    h.update(str(len(data)).encode("ascii") + b"\n")
-    h.update(data)
+def _data_frame(h, path: Path) -> None:
+    """Frame one file into h, reading it in chunks so that memory stays
+    bounded for large files; the framed length is the size fstat reports,
+    and exactly that many bytes are hashed."""
+    with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size
+        h.update(str(left).encode("ascii") + b"\n")
+        while left:
+            chunk = fh.read(min(left, _CHUNK_BYTES))
+            if not chunk:
+                raise SandboxError(f"{path} shrank while it was hashed")
+            h.update(chunk)
+            left -= len(chunk)
     h.update(b"\n")
 
 
@@ -179,7 +190,7 @@ def _hash_tree(root: Path):
     h = hashlib.sha256()
     for relpath in sorted(_walk_files(root)):
         h.update(relpath.encode("utf-8") + b"\n")
-        _data_frame(h, (root / relpath).read_bytes())
+        _data_frame(h, root / relpath)
     return h
 
 
@@ -192,7 +203,7 @@ def digest_paths(root: Path, relpaths: tuple[str, ...]) -> str:
     """sha-256 over the given files' contents in the given (manifest) order."""
     h = hashlib.sha256()
     for relpath in relpaths:
-        _data_frame(h, (root / relpath).read_bytes())
+        _data_frame(h, root / relpath)
     return h.hexdigest()
 
 
@@ -293,8 +304,7 @@ def run_container(image: ImageRecord, run_root: str | Path,
     )
     if runs_log is not None:
         runs_log.parent.mkdir(parents=True, exist_ok=True)
-        with open(runs_log, "ab") as fh:
-            fh.write(dumps_canonical(record.to_dict()))
+        append_records(runs_log, [record.to_dict()])
     return record
 
 

@@ -29,6 +29,8 @@ from .tasks import Dispatcher, TaskResult
 
 logger = logging.getLogger(__name__)
 
+_SHUTDOWN_POLL_SECONDS = 0.05  # stop() waits up to this long
+
 _STATUS_BY_CODE = {
     "unauthorized": 401,
     "unknown_token": 401,
@@ -78,15 +80,14 @@ class HpcfairServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "HpcfairServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
+        self._thread = threading.Thread(target=self.serve_forever,
                                         name="hpcfair-server", daemon=True)
         self._thread.start()
-        logger.info("serving on %s", self.address)
         return self
 
     def serve_forever(self) -> None:
         logger.info("serving on %s", self.address)
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=_SHUTDOWN_POLL_SECONDS)
 
     def stop(self) -> None:
         self._httpd.shutdown()

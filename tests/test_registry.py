@@ -1,12 +1,14 @@
 """Artifact registry: pids, storage, search, credentials, persistence."""
 
 import json
+import multiprocessing
 import random
 import re
 
 import pytest
 
 import oracle
+from hpcfair._canonical import dumps_canonical
 from hpcfair.errors import (
     AuthError,
     DuplicateContentError,
@@ -331,6 +333,19 @@ class TestTornLogs:
             store.authenticate("f" * 64)
         assert err.value.code == "unknown_token"
 
+    def test_torn_tokens_tail_warns_once_not_per_call(self, tmp_path,
+                                                       caplog):
+        root = tmp_path / "r"
+        token = Registry(root).issue_token("alice", "reader", 3600)
+        with open(root / "tokens", "ab") as fh:
+            fh.write(b'{"token_hash":"ab')
+        store = Registry(root)
+        for _ in range(3):
+            assert store.authenticate(token) == ("alice", "reader")
+        torn = [r for r in caplog.records if "ends in a torn line" in
+                r.getMessage()]
+        assert len(torn) == 1 and torn[0].levelname == "WARNING"
+
     @pytest.mark.parametrize("name,read", [
         ("meta.log", Registry),
         ("tokens", lambda root: Registry(root).authenticate("f" * 64))])
@@ -342,3 +357,76 @@ class TestTornLogs:
             fh.write(b'{"not json\n')
         with pytest.raises(IntegrityError, match=f"{name} line"):
             read(root)
+
+
+def _issue_tokens(root, account, count, barrier, results):
+    """Worker: open the store, wait for the others, then issue tokens."""
+    registry = Registry(root)
+    barrier.wait(timeout=60)
+    results.put((account, [registry.issue_token(account, "reader", 3600).token
+                           for _ in range(count)]))
+
+
+class TestOneBatchPerLine:
+    """A push and its companion are one meta.log line, kept or lost
+    together; appenders in any process take turns and cut a torn tail."""
+
+    def test_pt_push_cut_at_every_offset_loses_both(self, tmp_path):
+        root = tmp_path / "r"
+        first = Registry(root)
+        cred = first.issue_token("alice", "publisher", 3600)
+        kept = first.register_artifact(b"kept", draft(
+            "Kept", artifact_type="dataset", backend="csv"), cred)
+        content = make_model_checkpoint("torn")
+        pids = [r.pid for r in
+                first.register_artifact(content, draft("Torn"), cred)]
+        full = first.meta_log.read_bytes()
+        start = full.rindex(b"\n", 0, len(full) - 1) + 1
+
+        for offset in range(start, len(full)):
+            first.meta_log.write_bytes(full[:offset])
+            reopened = Registry(root)
+            assert reopened.all_records() == kept
+            again = reopened.register_artifact(content, draft("Torn"), cred)
+            assert [r.pid for r in again] == pids
+            assert [r.pid for r in Registry(root).all_records()] == \
+                [kept[0].pid] + pids
+
+    def test_push_written_as_two_lines_reopens_with_both(self, tmp_path):
+        # the layout of stores written before a push became one batch
+        root = tmp_path / "r"
+        first = Registry(root)
+        cred = first.issue_token("alice", "publisher", 3600)
+        records = first.register_artifact(make_model_checkpoint("old"),
+                                          draft("Old"), cred)
+        assert first.meta_log.read_bytes().count(b"\n") == 1
+        first.meta_log.write_bytes(b"".join(
+            dumps_canonical(r.to_dict()) for r in records))
+        assert Registry(root).all_records() == records
+
+    def test_processes_issuing_tokens_share_one_log(self, tmp_path):
+        root = tmp_path / "r"
+        Registry(root).issue_token("seed", "reader", 3600)
+        token_file = root / "tokens"
+        token_file.write_bytes(token_file.read_bytes() + b'{"token_hash":"ab')
+        ctx = multiprocessing.get_context("spawn")
+        barrier, results = ctx.Barrier(3), ctx.Queue()
+        procs = [ctx.Process(target=_issue_tokens,
+                             args=(root, f"user{i}", 50, barrier, results))
+                 for i in range(3)]
+        for proc in procs:
+            proc.start()
+        issued = dict(results.get(timeout=120) for _ in procs)
+        for proc in procs:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+
+        lines = token_file.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert len(lines) == 1 + 3 * 50
+        for line in lines:
+            json.loads(line)
+        store = Registry(root)
+        for account, tokens in issued.items():
+            for token in tokens:
+                assert store.authenticate(token) == (account, "reader")

@@ -1,11 +1,15 @@
 """Staged-tree sandbox: manifests, image digests, isolated runs."""
 
 import dataclasses
+import json
+import os
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
 import oracle
+from hpcfair._canonical import dumps_canonical
 from hpcfair.config import load_config
 from hpcfair.errors import (
     MalformedDocumentError,
@@ -14,6 +18,7 @@ from hpcfair.errors import (
 )
 from hpcfair.sandbox import (
     build_image,
+    digest_paths,
     digest_tree,
     parse_manifest,
     run_container,
@@ -130,6 +135,35 @@ class TestBuildImage:
             build_image(manifest, tmp_path / "nowhere", tmp_path / "im")
 
 
+class TestChunkedDigests:
+    """Files are hashed in 1 MiB chunks; the framing must not notice."""
+
+    SIZES = {"empty": 0, "one": 1, "chunk": 1 << 20, "over": (5 << 19) + 3}
+
+    def write_files(self, root):
+        files = []
+        for name, size in self.SIZES.items():
+            data = (bytes(range(251)) * (size // 251 + 1))[:size]
+            (root / name).write_bytes(data)
+            files.append((name, data))
+        return files
+
+    def test_tree_and_paths_match_the_oracle(self, tmp_path):
+        files = self.write_files(tmp_path)
+        assert digest_tree(tmp_path) == oracle.tree_digest(files)
+        assert digest_paths(tmp_path, tuple(self.SIZES)) == \
+            oracle.content_digest([data for _, data in files])
+
+    def test_file_shorter_than_its_size_is_a_sandbox_error(self, tmp_path,
+                                                           monkeypatch):
+        (tmp_path / "f").write_bytes(b"abc")
+        real = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+            st_size=real(fd).st_size + 1))
+        with pytest.raises(SandboxError, match="shrank"):
+            digest_paths(tmp_path, ("f",))
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -224,6 +258,18 @@ class TestRunContainer:
         run_container(image, tmp_path / "runs", runs_log=log)
         lines = log.read_bytes().splitlines()
         assert len(lines) == 2
+
+    def test_torn_runs_log_tail_is_cut_before_the_next_run(self, tmp_path):
+        image = build_fixture_image(tmp_path)
+        log = tmp_path / "store" / "runs.log"
+        first = run_container(image, tmp_path / "runs", runs_log=log)
+        log.write_bytes(log.read_bytes() + b'{"run_id":"y","b')
+        record = run_container(image, tmp_path / "runs", runs_log=log)
+        lines = log.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert [json.loads(line) for line in lines] == \
+            [first.to_dict(), record.to_dict()]
+        assert lines[-1] + b"\n" == dumps_canonical(record.to_dict())
 
 
 # ---------------------------------------------------------------------------
