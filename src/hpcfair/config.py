@@ -75,6 +75,11 @@ def as_list(value: Any) -> list[Any]:
     return [value]
 
 
+def is_path(value: Any) -> bool:
+    """Whether a config value can name a file: a string without NUL."""
+    return isinstance(value, str) and "\0" not in value
+
+
 _GENERAL_KEYS = ("task", "tag", "backend")
 _DEVICE_KEYS = ("worker_num", "device", "gpu_mapping_file", "gpu_mapping_key")
 _SECTIONS = ("general_args", "device_args", "task_args", "model_args",
@@ -225,6 +230,8 @@ def validate_config(cfg: TaskConfig) -> ValidationReport:
         v.append("config has no 'task_args'/'model_args' section")
     if "export_file" not in cfg.out:
         v.append("out_args.export_file is required")
+    elif not all(is_path(p) for p in cfg.export_files):
+        v.append("out_args.export_file must be a path or a list of paths")
 
     def require(keys: tuple[str, ...]) -> None:
         section = cfg.task_section or "task_args"

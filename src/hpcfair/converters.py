@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -417,9 +416,10 @@ def convert_checkpoint_bytes(backend: str, data: bytes, model_name: str,
 def run_conversion_task(cfg: TaskConfig) -> list[Path]:
     """Convert every (backend, model_file) pair and write interchange files.
 
-    All items are converted in memory (in parallel up to worker_num) before
-    any export file is written, so a bad checkpoint never leaves partial
-    output behind.
+    Items are converted in order, all in memory before any export file is
+    written, so a bad checkpoint never leaves partial output behind.
+    ``device_args.worker_num`` is not consulted: conversion is pure Python,
+    and threads would not make it faster.
     """
     if cfg.general.task != "conversion":
         raise ConfigError(
@@ -446,21 +446,13 @@ def run_conversion_task(cfg: TaskConfig) -> list[Path]:
                 f"unknown conversion backend {backend!r}")
 
     ir_version = cfg.task_args.get("onnx_version", 1)
-
-    def convert_item(i: int) -> bytes:
-        src = cfg.resolve(files[i])
+    payloads = []
+    for backend, name, path in zip(backends, names, files):
+        src = cfg.resolve(path)
         if not src.is_file():
-            raise ConversionError(f"model file not found: {files[i]}")
-        graph = convert_checkpoint_bytes(backends[i], src.read_bytes(),
-                                         names[i], ir_version)
-        return serialize_graph(graph)
-
-    workers = max(1, cfg.device.worker_num)
-    if workers == 1 or len(files) <= 1:
-        payloads = [convert_item(i) for i in range(len(files))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(convert_item, range(len(files))))
+            raise ConversionError(f"model file not found: {path}")
+        payloads.append(serialize_graph(convert_checkpoint_bytes(
+            backend, src.read_bytes(), name, ir_version)))
 
     written = []
     for export, payload in zip(exports, payloads):

@@ -129,6 +129,28 @@ class ArtifactDraft:
     license: str = ""
     provenance: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        # the one type check of caller metadata, direct or from_dict
+        for name in ("title", "artifact_type", "backend_tag", "license"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidArtifactError(f"{name} must be a string")
+        if not isinstance(self.tags, (list, tuple)) or \
+                not all(isinstance(tag, str) for tag in self.tags):
+            raise InvalidArtifactError("tags must be a list of strings")
+        if not isinstance(self.version, int) or isinstance(self.version,
+                                                           bool) \
+                or self.version < 1:
+            raise InvalidArtifactError("version must be a positive integer")
+        if not isinstance(self.provenance, (list, tuple)) or not all(
+                isinstance(edge, tuple) and len(edge) == 2
+                and all(isinstance(part, str) for part in edge)
+                for edge in self.provenance):
+            raise InvalidArtifactError(
+                "provenance must be a list of {parent_pid, operation} "
+                "objects of strings")
+        object.__setattr__(self, "tags", tuple(self.tags))
+        object.__setattr__(self, "provenance", tuple(self.provenance))
+
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ArtifactDraft":
         if not isinstance(doc, dict):
@@ -139,14 +161,19 @@ class ArtifactDraft:
         if unknown:
             raise InvalidArtifactError(
                 f"unknown metadata keys {sorted(unknown)}")
-        prov = tuple(
-            (p["parent_pid"], p["operation"])
-            for p in doc.get("provenance", ()))
+        # edge objects become (parent_pid, operation) pairs; anything else
+        # is left for __post_init__ to reject
+        prov = doc.get("provenance", [])
+        if isinstance(prov, list):
+            prov = [(p["parent_pid"], p["operation"])
+                    if isinstance(p, dict)
+                    and set(p) == {"parent_pid", "operation"} else p
+                    for p in prov]
         return cls(
             title=doc.get("title", ""),
             artifact_type=doc.get("artifact_type", ""),
             backend_tag=doc.get("backend_tag", ""),
-            tags=tuple(doc.get("tags", ())),
+            tags=doc.get("tags", []),
             version=doc.get("version", 1),
             license=doc.get("license", ""),
             provenance=prov,
@@ -319,12 +346,8 @@ class Registry:
             raise InvalidArtifactError(
                 f"artifact_type must be one of {list(ARTIFACT_TYPES)}, "
                 f"got {draft.artifact_type!r}")
-        if not draft.backend_tag or not isinstance(draft.backend_tag, str):
+        if not draft.backend_tag:
             raise InvalidArtifactError("backend_tag must be non-empty")
-        if not isinstance(draft.version, int) or isinstance(draft.version,
-                                                            bool) \
-                or draft.version < 1:
-            raise InvalidArtifactError("version must be a positive integer")
 
     def _complete(self, content: bytes, draft: ArtifactDraft,
                   account: str) -> ArtifactRecord:
@@ -339,7 +362,7 @@ class Registry:
             license=draft.license,
             content_hash=content_digest(content),
             size_bytes=len(content),
-            provenance=tuple(draft.provenance),
+            provenance=draft.provenance,
             created_at=datetime.now(timezone.utc).strftime(_TIME_FORMAT),
         )
 

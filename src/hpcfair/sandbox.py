@@ -358,25 +358,29 @@ def run_container_task(cfg: TaskConfig,
     record = run_container(image, store / "runs",
                            device=cfg.device.device,
                            runs_log=store / "runs.log")
-    if record.exit_status != 0:
-        raise SandboxError(
-            f"run_container: entrypoint exited with status "
-            f"{record.exit_status}: {record.captured_log.strip()}")
-    if record.errors:
-        raise SandboxError(f"run_container: {'; '.join(record.errors)}")
+    workspace = store / "runs" / record.run_id
+    try:
+        if record.exit_status != 0:
+            raise SandboxError(
+                f"run_container: entrypoint exited with status "
+                f"{record.exit_status}: {record.captured_log.strip()}")
+        if record.errors:
+            raise SandboxError(
+                f"run_container: {'; '.join(record.errors)}")
 
-    if not manifest.declared_outputs:
-        raise SandboxError(
-            "run_container: manifest declares no outputs to export")
-    exports = cfg.export_files
-    if len(exports) != 1:
-        raise ConfigError(
-            f"container requires a single out_args.export_file, "
-            f"got {len(exports)}")
-    produced = Path(store / "runs" / record.run_id /
-                    manifest.declared_outputs[0])
-    export = cfg.resolve(exports[0])
-    export.parent.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(produced, export)
+        if not manifest.declared_outputs:
+            raise SandboxError(
+                "run_container: manifest declares no outputs to export")
+        exports = cfg.export_files
+        if len(exports) != 1:
+            raise ConfigError(
+                f"container requires a single out_args.export_file, "
+                f"got {len(exports)}")
+        export = cfg.resolve(exports[0])
+        export.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(workspace / manifest.declared_outputs[0], export)
+    finally:
+        # runs.log holds the record; the working copy is not kept
+        shutil.rmtree(workspace, ignore_errors=True)
     logger.info("container output exported: %s", export)
     return export, record

@@ -99,7 +99,9 @@ class HpcfairServer:
     # -- task table ----------------------------------------------------------
 
     def submit_task(self, cfg) -> str:
-        task_id = self.dispatcher.next_task_id(cfg)
+        # claimed here, in the handler thread, so POST order decides which
+        # of two tasks exporting one path wins
+        task_id = self.dispatcher.submit(cfg)
         with self._tasks_lock:
             self._tasks[task_id] = None  # running
         self._pool.submit(self._run_task, cfg, task_id)
@@ -266,7 +268,7 @@ def _split_upload(body: bytes) -> tuple[dict, bytes]:
             "upload body must be a metadata line, a newline, then content")
     try:
         meta = json.loads(body[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deeply
         raise InvalidArtifactError(f"metadata line is not valid JSON: {exc}")
     if not isinstance(meta, dict):
         raise InvalidArtifactError("metadata must be a JSON object")

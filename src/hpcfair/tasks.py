@@ -1,11 +1,13 @@
 """Task dispatch: route validated configs to their executors.
 
 The dispatcher owns a monotone task counter and the export-path claim table.
-Claims are taken under one lock in submission order and released when a task
-finishes, so of two concurrently submitted tasks writing the same file the
-later one fails with a collision error, deterministically, and re-running a
-config after completion is always allowed.  Component failures never escape:
-they are captured into the TaskResult.
+Every task enters through ``submit``, which takes its id and claims its
+export paths in one hold of the lock; ``execute`` then validates and runs it
+and releases the claim however it ends.  ``dispatch``, ``submit_many`` and
+the HTTP server all submit before they execute, so of two tasks writing the
+same file the later submission fails with a collision error, whatever order
+they run in, and re-running a config after completion is always allowed.
+Component failures never escape: they are captured into the TaskResult.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
 
-from .config import TaskConfig, serialize_config, validate_config
+from .config import TaskConfig, is_path, serialize_config, validate_config
 from .converters import run_conversion_task
 from .errors import CollisionError, HpcfairError
 from .runtime import run_inference_task
@@ -56,10 +58,12 @@ class Dispatcher:
     def __init__(self, store: Any = None):
         self.store = store
         self.store_root = Path(store.root) if store is not None else None
-        # reentrant: submit_many takes ids and claims under one hold
+        # reentrant: submit takes an id and claims under one hold
         self._lock = threading.RLock()
         self._counter = 0
         self._active_paths: set[str] = set()
+        # submitted, not yet executing: task id -> (claimed paths, collision)
+        self._queued: dict[str, tuple[list[str], CollisionError | None]] = {}
 
     def next_task_id(self, cfg: TaskConfig) -> str:
         digest = hashlib.sha256(serialize_config(cfg)).hexdigest()[:8]
@@ -70,16 +74,21 @@ class Dispatcher:
     # -- claims ------------------------------------------------------------
 
     def _export_paths(self, cfg: TaskConfig) -> list[str]:
-        return [str(cfg.resolve(p)) for p in cfg.export_files]
+        # validate_config rejects the entries skipped here
+        return [str(cfg.resolve(p)) for p in cfg.export_files if is_path(p)]
 
     def _claim(self, paths: Sequence[str]) -> None:
         with self._lock:
             clash = sorted(set(paths) & self._active_paths)
-            if clash:
+            if not clash:
+                self._active_paths.update(paths)
+            elif any(clash[0] in held for held, _ in self._queued.values()):
+                raise CollisionError("export path already claimed by a "
+                                     "concurrently submitted task")
+            else:
                 raise CollisionError(
                     f"export path already claimed by a running task: "
                     f"{clash[0]}")
-            self._active_paths.update(paths)
 
     def _release(self, paths: Sequence[str]) -> None:
         with self._lock:
@@ -87,34 +96,41 @@ class Dispatcher:
 
     # -- execution ---------------------------------------------------------
 
-    def dispatch(self, cfg: TaskConfig) -> TaskResult:
-        """Validate, claim export paths, run, and report synchronously."""
-        return self.execute(cfg, self.next_task_id(cfg))
-
-    def execute(self, cfg: TaskConfig, task_id: str, *,
-                preclaimed: bool = False) -> TaskResult:
-        log = [f"{_now()} task {task_id} accepted"]
-
-        report = validate_config(cfg)
-        if not report.ok:
-            return TaskResult(
-                task_id, "failed", log=tuple(log),
-                error={"code": "invalid_config",
-                       "message": "; ".join(report.violations)})
-
-        paths = self._export_paths(cfg)
-        if not preclaimed:
+    def submit(self, cfg: TaskConfig) -> str:
+        """Take a task id and claim cfg's export paths; a collision is kept
+        and reported by ``execute(cfg, task_id)``, which must follow."""
+        with self._lock:
+            task_id = self.next_task_id(cfg)
+            paths = self._export_paths(cfg)
             try:
                 self._claim(paths)
+                self._queued[task_id] = (paths, None)
             except CollisionError as exc:
+                self._queued[task_id] = ([], exc)
+        return task_id
+
+    def dispatch(self, cfg: TaskConfig) -> TaskResult:
+        """Submit, run, and report synchronously."""
+        return self.execute(cfg, self.submit(cfg))
+
+    def execute(self, cfg: TaskConfig, task_id: str) -> TaskResult:
+        """Validate and run a submitted task, then release its claim."""
+        with self._lock:
+            paths, collision = self._queued.pop(task_id)
+        log = [f"{_now()} task {task_id} accepted"]
+        try:
+            report = validate_config(cfg)
+            if not report.ok:
                 return TaskResult(
                     task_id, "failed", log=tuple(log),
-                    error={"code": exc.code, "message": exc.message})
-        try:
+                    error={"code": "invalid_config",
+                           "message": "; ".join(report.violations)})
+            if collision is not None:
+                return TaskResult(task_id, "failed", log=tuple(log),
+                                  error=collision.to_dict())
             return self._route(cfg, task_id, log)
         finally:
-            if not preclaimed:
-                self._release(paths)
+            self._release(paths)
 
     def _route(self, cfg: TaskConfig, task_id: str,
                log: list[str]) -> TaskResult:
@@ -153,39 +169,14 @@ class Dispatcher:
 
     def submit_many(self, configs: Sequence[TaskConfig],
                     worker_num: int = 1) -> list[TaskResult]:
-        """Run a batch with at most worker_num concurrent tasks.
+        """Run a batch on a pool of max(1, worker_num) threads.
 
-        Export paths are claimed serially in submission order before any
-        task starts, so collisions always fail the later config regardless
-        of scheduling; results come back in submission order.
+        Every config is submitted, in order and under one hold of the lock,
+        before any of them runs, so the batch takes contiguous ids and a
+        collision always fails the later config regardless of scheduling;
+        results come back in submission order.
         """
-        plans: list[tuple[TaskConfig, str, list[str] | None]] = []
         with self._lock:
-            for cfg in configs:
-                task_id = self.next_task_id(cfg)
-                paths: list[str] | None = self._export_paths(cfg)
-                try:
-                    self._claim(paths)
-                except CollisionError:
-                    paths = None
-                plans.append((cfg, task_id, paths))
-
-        def work(plan: tuple[TaskConfig, str, list[str] | None]
-                 ) -> TaskResult:
-            cfg, task_id, paths = plan
-            if paths is None:
-                return TaskResult(
-                    task_id, "failed",
-                    log=(f"{_now()} task {task_id} accepted",),
-                    error={"code": "export_collision",
-                           "message": "export path already claimed by a "
-                                      "concurrently submitted task"})
-            try:
-                return self.execute(cfg, task_id, preclaimed=True)
-            finally:
-                self._release(paths)
-
-        if worker_num <= 1:
-            return [work(plan) for plan in plans]
-        with ThreadPoolExecutor(max_workers=worker_num) as pool:
-            return list(pool.map(work, plans))
+            task_ids = [self.submit(cfg) for cfg in configs]
+        with ThreadPoolExecutor(max_workers=max(1, worker_num)) as pool:
+            return list(pool.map(self.execute, configs, task_ids))

@@ -274,6 +274,14 @@ class TestConversionTask:
         second = [p.read_bytes() for p in run_conversion_task(cfg)]
         assert first == second
 
+    def test_worker_num_does_not_change_the_output(self, demo_workspace):
+        cfg = load_config(demo_workspace.root / "conversion.yaml")
+        assert cfg.device.worker_num == 4
+        four = [p.read_bytes() for p in run_conversion_task(cfg)]
+        one = dataclasses.replace(
+            cfg, device=dataclasses.replace(cfg.device, worker_num=1))
+        assert [p.read_bytes() for p in run_conversion_task(one)] == four
+
 
 # ---------------------------------------------------------------------------
 # randomized cross-checks

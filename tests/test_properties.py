@@ -8,10 +8,12 @@ property is vacuous if it emits invalid graphs.
 import json
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 import oracle
 from graphgen import random_graph
+from hpcfair.errors import InvalidArtifactError
 from hpcfair.interchange import (
     GraphNode,
     Tensor,
@@ -19,7 +21,9 @@ from hpcfair.interchange import (
     serialize_graph,
     validate_graph,
 )
+from hpcfair.registry import ArtifactDraft
 from hpcfair.runtime import NamedTensorSet, apply_node, execute
+from hpcfair.server import _split_upload
 
 
 def run_both_routes(case):
@@ -99,3 +103,60 @@ def test_relu_is_idempotent(values):
     (once,) = apply_node(node, [x])
     (twice,) = apply_node(node, [once.renamed("x")])
     assert once.data == twice.data
+
+
+# ---------------------------------------------------------------------------
+# artifact upload parsers: any input is a draft or an InvalidArtifactError
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12)
+DRAFT_KEYS = st.sampled_from(["title", "artifact_type", "backend_tag",
+                              "tags", "version", "license", "provenance",
+                              "parent_pid", "operation"])
+DRAFT_DOCS = st.dictionaries(DRAFT_KEYS, JSON_VALUES | st.lists(
+    st.dictionaries(DRAFT_KEYS, JSON_VALUES, max_size=3), max_size=3),
+    max_size=7)
+
+
+def check_draft(draft):
+    assert all(isinstance(value, str) for value in (
+        draft.title, draft.artifact_type, draft.backend_tag, draft.license))
+    assert all(isinstance(tag, str) for tag in draft.tags)
+    assert type(draft.version) is int and draft.version >= 1
+    assert all(isinstance(parent, str) and isinstance(op, str)
+               for parent, op in draft.provenance)
+
+
+@given(DRAFT_DOCS | st.dictionaries(st.text(max_size=12), JSON_VALUES,
+                                    max_size=4))
+def test_any_json_object_is_a_typed_draft_or_rejected(doc):
+    try:
+        draft = ArtifactDraft.from_dict(doc)
+    except InvalidArtifactError:
+        return
+    check_draft(draft)
+
+
+@given(st.binary(max_size=200)
+       | st.builds(lambda doc, content: json.dumps(doc).encode() + b"\n"
+                   + content, DRAFT_DOCS, st.binary(max_size=20)))
+def test_any_upload_body_splits_or_is_rejected(body):
+    try:
+        meta, content = _split_upload(body)
+        check_draft(ArtifactDraft.from_dict(meta))
+    except InvalidArtifactError:
+        return
+    assert isinstance(meta, dict)
+    assert body.endswith(content)
+
+
+@pytest.mark.parametrize("body", [b"[" * 100_000 + b"\n", b"\xff\n",
+                                  b"[1]\n", b"no newline"],
+                         ids=["deep", "not-utf8", "not-object", "no-newline"])
+def test_malformed_upload_bodies_are_rejected(body):
+    with pytest.raises(InvalidArtifactError):
+        _split_upload(body)

@@ -122,6 +122,62 @@ class TestRegister:
                             rec.created_at)
 
 
+class TestDraftFields:
+    """Every metadata field's type is checked once, in ArtifactDraft."""
+
+    DOC = {"title": "T", "artifact_type": "dataset", "backend_tag": "csv"}
+
+    @pytest.mark.parametrize("field, value", [
+        ("title", 123), ("title", None), ("artifact_type", 1),
+        ("backend_tag", ["pt"]), ("license", 7),
+        ("tags", "abc"), ("tags", 5), ("tags", ["nlp", 3]),
+        ("version", True), ("version", "1"), ("version", 0),
+        ("provenance", [1]), ("provenance", "p"),
+        ("provenance", {"parent_pid": "p", "operation": "derived-from"}),
+        ("provenance", [["p", "derived-from"]]),
+        ("provenance", [{"parent_pid": 1, "operation": "derived-from"}]),
+        ("provenance", [{"parent_pid": "p"}]),
+        ("provenance", [{"parent_pid": "p", "operation": "derived-from",
+                         "extra": 1}]),
+    ])
+    def test_from_dict_names_the_bad_field(self, field, value):
+        with pytest.raises(InvalidArtifactError, match=f"^{field} "):
+            ArtifactDraft.from_dict({**self.DOC, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("title", 123), ("license", 7), ("tags", "abc"), ("tags", 5),
+        ("version", True), ("provenance", [1]),
+        ("provenance", (("p", 1),))])
+    def test_direct_draft_names_the_bad_field(self, field, value):
+        kwargs = {"title": "T", "artifact_type": "dataset",
+                  "backend_tag": "csv", field: value}
+        with pytest.raises(InvalidArtifactError, match=f"^{field} "):
+            ArtifactDraft(**kwargs)
+
+    def test_well_formed_fields_are_kept(self):
+        d = ArtifactDraft.from_dict({
+            **self.DOC, "tags": ["a", "b"], "version": 2, "license": "mit",
+            "provenance": [{"parent_pid": "p", "operation": "derived-from"}]})
+        assert d.tags == ("a", "b")
+        assert d.version == 2
+        assert d.provenance == (("p", "derived-from"),)
+        assert ArtifactDraft(title="T", artifact_type="dataset",
+                             backend_tag="csv", tags=["x"]).tags == ("x",)
+
+    def test_rejected_title_leaves_title_search_working(self, store,
+                                                        publisher):
+        with pytest.raises(InvalidArtifactError):
+            store.register_artifact(
+                b"poison", ArtifactDraft.from_dict({**self.DOC,
+                                                    "title": 123}),
+                publisher)
+        store.register_artifact(b"fine", ArtifactDraft.from_dict(self.DOC),
+                                publisher)
+        for handle in (store, Registry(store.root)):
+            hits = handle.search(SearchQuery(title_substring="t"))
+            assert [r.title for r in hits] == ["T"]
+
+
 # ---------------------------------------------------------------------------
 # credentials
 

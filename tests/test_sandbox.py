@@ -319,3 +319,29 @@ class TestContainerTask:
         cfg = load_config(demo_workspace.root / "container.yaml")
         with pytest.raises(SandboxError, match="run_container: .*boom"):
             run_container_task(cfg)
+
+    @pytest.mark.parametrize("script, exit_status", [
+        (None, 0),
+        ("raise SystemExit('boom')\n", 1),
+        ("pass\n", 0),  # exits 0 but writes no declared output
+    ])
+    def test_run_workspace_is_removed_and_its_record_kept(
+            self, demo_workspace, script, exit_status):
+        root = demo_workspace.root
+        if script is not None:
+            (root / "project_dir" / "gen.py").write_text(script)
+        cfg = load_config(root / "container.yaml")
+        if script is None:
+            _, record = run_container_task(cfg)
+        else:
+            with pytest.raises(SandboxError, match="run_container: "):
+                run_container_task(cfg)
+        store = root / "store"
+        assert list((store / "runs").iterdir()) == []
+        [line] = (store / "runs.log").read_bytes().splitlines()
+        logged = json.loads(line)
+        assert logged["exit_status"] == exit_status
+        assert logged["image_digest"] in {
+            p.name for p in (store / "images").iterdir()}
+        if script is None:
+            assert logged == record.to_dict()

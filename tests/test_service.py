@@ -2,12 +2,13 @@
 
 import json
 import socket
+import threading
 import time
 
 import pytest
 import requests
 
-from hpcfair.registry import content_digest
+from hpcfair.registry import Registry, SearchQuery, content_digest
 
 from conftest import build_demo_workspace, make_model_checkpoint
 
@@ -210,6 +211,91 @@ class TestTaskEndpoints:
         r = requests.get(f"{server.address}/v1/nothing")
         assert r.status_code == 404
         assert r.json()["error"]["code"] == "not_found"
+
+    def test_first_posted_task_wins_an_export_collision(
+            self, tmp_path, server, publisher, monkeypatch):
+        ws = build_demo_workspace(tmp_path / "ws")
+        text = (ws.root / "conversion.yaml").read_text()
+        for name in ("encoder.onnx", "decoder.onnx"):
+            text = text.replace(f'"{name}"', f'"{ws.root}/{name}"')
+        body = text.replace('"./ckpt/', f'"{ws.root}/ckpt/').encode()
+
+        # hold the first task's worker back until the second task is done,
+        # so the first task runs, and would claim if it claimed late, last
+        second_done = threading.Event()
+        real_run = server._run_task
+
+        def run_task(cfg, task_id):
+            first = task_id.startswith("task-000001-")
+            if first:
+                second_done.wait(timeout=10)
+            real_run(cfg, task_id)
+            if not first:
+                second_done.set()
+
+        monkeypatch.setattr(server, "_run_task", run_task)
+        headers = {"Authorization": f"Bearer {publisher.token}"}
+        first, second = (
+            requests.post(f"{server.address}/v1/tasks", data=body,
+                          headers=headers).json()["data"]["task_id"]
+            for _ in range(2))
+        assert first.startswith("task-000001-")
+        lost = poll_task(server, second)
+        assert poll_task(server, first)["status"] == "succeeded"
+        assert lost["status"] == "failed"
+        assert lost["error"]["code"] == "export_collision"
+
+    def test_non_path_export_file_is_400(self, server, publisher):
+        cfg = (b"general_args:\n  task: \"container\"\n"
+               b"  backend: \"mlcube\"\n"
+               b"task_args:\n  work_dir: \"w\"\n  build_file: \"b\"\n"
+               b"  build_tag: \"t\"\n  volume: \"/app\"\n"
+               b"out_args:\n  export_file: 5\n")
+        r = requests.post(
+            f"{server.address}/v1/tasks", data=cfg,
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 400
+        assert "out_args.export_file must be a path or a list of paths" \
+            in r.json()["data"]["violations"]
+
+
+class TestMetadataFields:
+    """Malformed metadata is a 400 naming the field and stores nothing."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("title", 123), ("license", 7), ("tags", "abc"), ("tags", 5),
+        ("provenance", [1]), ("version", True)])
+    def test_bad_field_is_400_and_stores_nothing(self, server, store,
+                                                 publisher, field, value):
+        r = push(server, publisher.token, meta={**META, field: value})
+        assert r.status_code == 400
+        error = r.json()["error"]
+        assert error["code"] == "invalid_artifact"
+        assert error["message"].startswith(field)
+        assert store.all_records() == []
+
+    def test_title_search_survives_a_bad_title_and_a_reopen(self, server,
+                                                            store,
+                                                            publisher):
+        assert push(server, publisher.token,
+                    meta={**META, "title": 123}).status_code == 400
+        assert push(server, publisher.token).status_code == 201
+        r = requests.get(f"{server.address}/v1/search",
+                         params={"title": "enc"})
+        assert r.status_code == 200
+        assert len(r.json()["data"]["records"]) == 2
+        reopened = Registry(store.root).search(
+            SearchQuery(title_substring="enc"))
+        assert sorted(rec.title for rec in reopened) == ["Encoder",
+                                                         "Encoder (onnx)"]
+
+    def test_deeply_nested_metadata_is_400(self, server, publisher):
+        r = requests.post(
+            f"{server.address}/v1/artifacts",
+            data=b"[" * 100_000 + b"\nx",
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 400
+        assert r.json()["error"]["code"] == "invalid_artifact"
 
 
 class TestProtocolMirrorsRegistry:

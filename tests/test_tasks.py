@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
+import threading
 
 import pytest
 
@@ -124,6 +126,61 @@ class TestDispatch:
         assert result.error["message"] \
             == f"export path already claimed by a running task: {held}"
 
+    def test_later_submission_loses_whichever_runs_first(self,
+                                                         demo_workspace):
+        d = Dispatcher()
+        cfg = conversion_cfg(demo_workspace)
+        first, second = d.submit(cfg), d.submit(cfg)
+        lost = d.execute(cfg, second)
+        assert lost.error["code"] == "export_collision"
+        assert d.execute(cfg, first).status == "succeeded"
+        assert d.dispatch(cfg).status == "succeeded"  # every claim released
+
+    def test_non_path_export_file_is_an_invalid_config(self,
+                                                       demo_workspace):
+        d = Dispatcher()
+        cfg = load_config(demo_workspace.root / "container.yaml")
+        for bad in (5, ["out.txt", None], "a\0b"):
+            cfg.out["export_file"] = bad
+            result = d.dispatch(cfg)
+            assert result.status == "failed"
+            assert result.error["code"] == "invalid_config"
+            assert "out_args.export_file must be a path or a list of " \
+                "paths" in result.error["message"]
+
+    def test_concurrent_submissions_claim_one_path_once(self, tmp_path):
+        # the work dir is missing, so the one task holding the claim fails
+        # fast with a sandbox error and every other with a collision
+        cfg = load_config(build_demo_workspace(tmp_path).root
+                          / "container.yaml")
+        cfg.task_args["work_dir"] = "absent"
+        d = Dispatcher()
+        ids: list[str] = []
+        barrier = threading.Barrier(8)
+
+        def submit_many_times():
+            barrier.wait(timeout=10)
+            for _ in range(25):
+                ids.append(d.submit(cfg))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_many_times)
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        codes = sorted(d.execute(cfg, task_id).error["code"]
+                       for task_id in ids)
+        assert len(set(ids)) == 200
+        assert codes == ["export_collision"] * 199 + ["sandbox_error"]
+        assert d.dispatch(cfg).error["code"] == "sandbox_error"
+
 
 class TestSubmitMany:
     def make_batch(self, tmp_path, n):
@@ -171,3 +228,19 @@ class TestSubmitMany:
         counters = [int(r.task_id.split("-")[1]) for r in results]
         assert counters == sorted(counters)
         assert len(set(r.task_id for r in results)) == 3
+
+    @pytest.mark.parametrize("worker_num", [0, 1])
+    def test_fewer_than_two_workers_still_run_the_batch(self, tmp_path,
+                                                        worker_num):
+        configs = self.make_batch(tmp_path, 2)
+        results = Dispatcher().submit_many(configs, worker_num=worker_num)
+        assert [r.status for r in results] == ["succeeded", "succeeded"]
+
+    def test_collision_with_a_task_outside_the_batch(self, demo_workspace):
+        d = Dispatcher()
+        cfg = conversion_cfg(demo_workspace)
+        held = str(cfg.resolve("encoder.onnx"))
+        d._claim([held])  # stands in for a task that is still running
+        [result] = d.submit_many([cfg])
+        assert result.error["message"] \
+            == f"export path already claimed by a running task: {held}"
