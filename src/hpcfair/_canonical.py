@@ -3,8 +3,10 @@
 One representation per value: compact separators, UTF-8, a single trailing
 newline, floats rendered with Python's shortest round-trip repr.  Containers
 must already be built in their canonical field order; this module does not
-reorder keys.  The store's logs (``meta.log``, ``tokens``, ``runs.log``)
-are written and read only through ``append_records`` and ``read_records``.
+reorder keys.  ``loads_canonical`` is the only JSON decoder.  The store's
+logs (``meta.log``, ``tokens``, ``runs.log``) are written only under
+``appending``, which holds a log's lock through a caller's check and append,
+and read only by ``read_records``, from the offset it last returned.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import fcntl
 import json
 import logging
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import IntegrityError
 
@@ -32,18 +35,20 @@ def dumps_canonical(obj: Any) -> bytes:
 def loads_canonical(data: bytes | str) -> Any:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return json.loads(data)
+    try:
+        return json.loads(data)
+    except RecursionError:  # a ValueError, which every caller maps to a code
+        raise ValueError("document is nested too deeply") from None
 
 
-def append_records(path: Path, rows: Sequence[Any]) -> None:
-    """Append one batch to a store log as one line, the bare row for a batch
-    of one and a JSON array for more, so a crash keeps or drops it whole.
-    A torn last line left by a crashed appender is cut off first; an empty
-    batch only does that."""
-    batch = rows[0] if len(rows) == 1 else rows
-    line = dumps_canonical(batch) if rows else b""
+@contextmanager
+def appending(path: Path) -> Iterator[Callable[[Sequence[Any]], None]]:
+    """Lock a store log, cut a torn last line left by a crashed appender,
+    and yield ``append(rows)``: one batch as one line, the bare row for a
+    batch of one and a JSON array for more, so a crash keeps or drops it
+    whole.  The lock is held until the block ends."""
     with open(path, "a+b") as fh:
-        # Held until close; other appenders, in any process, wait here.
+        # per open file description: other threads and processes wait here
         fcntl.flock(fh, fcntl.LOCK_EX)
         end = fh.seek(0, os.SEEK_END)
         if end:
@@ -54,30 +59,44 @@ def append_records(path: Path, rows: Sequence[Any]) -> None:
                 logger.warning("%s ends in a torn line of %d bytes; cutting "
                                "it", path, end - keep)
                 fh.truncate(keep)
-        fh.write(line)
+        yield lambda rows: fh.write(
+            dumps_canonical(rows[0] if len(rows) == 1 else rows))
 
 
-def read_records(path: Path) -> Iterator[Any]:
-    """Rows of a store log in append order, batches flattened.  A torn last
-    line is ignored with a warning; a whole line that does not parse raises
-    IntegrityError."""
+def append_records(path: Path, rows: Sequence[Any]) -> None:
+    with appending(path) as append:
+        append(rows)
+
+
+def read_records(path: Path, start: int = 0) -> tuple[int, Iterator[Any]]:
+    """The offset after the last whole line, and a lazy iterator over the
+    rows after ``start``, batches flattened.  A torn last line is skipped
+    with a warning; a whole line that does not parse raises IntegrityError."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            data = fh.read()
     except FileNotFoundError:
-        return
-    lines = data.split(b"\n")
-    torn = lines.pop()  # empty unless the last append was cut short
-    if torn:
+        return start, iter(())
+    end = data.rfind(b"\n") + 1
+    if end < len(data):  # the last append was cut short, or is in flight
         logger.warning("%s ends in a torn line of %d bytes; ignoring it",
-                       path, len(torn))
-    for number, line in enumerate(lines, 1):
+                       path, len(data) - end)
+    return start + end, _rows(path, data, start, end)
+
+
+def _rows(path: Path, data: bytes, start: int, end: int) -> Iterator[Any]:
+    pos = 0
+    while pos < end:
+        stop = data.index(b"\n", pos) + 1
+        line, at, pos = data[pos:stop], start + pos, stop
         if not line.strip():
             continue
         try:
             row = loads_canonical(line)
         except ValueError as exc:
             raise IntegrityError(
-                f"{path} line {number} does not parse: {exc}") from None
+                f"{path} line at byte {at} does not parse: {exc}") from None
         if isinstance(row, list):
             yield from row
         else:

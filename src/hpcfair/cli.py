@@ -15,9 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-from ._canonical import dumps_canonical
+from ._canonical import dumps_canonical, loads_canonical
 from .client import ModelAPI, TaskFailed, request
-from .errors import HpcfairError
+from .errors import HpcfairError, InvalidArtifactError
 from .registry import ArtifactDraft, ArtifactRecord, Registry, SearchQuery, \
     content_digest
 from .server import HpcfairServer, ok_body
@@ -92,7 +92,10 @@ def _registry(parser: argparse.ArgumentParser, args) -> Registry:
 
 
 def cmd_push(parser, args) -> int:
-    meta = json.loads(Path(args.meta).read_text("utf-8"))
+    try:
+        meta = loads_canonical(Path(args.meta).read_bytes())
+    except ValueError as exc:
+        raise InvalidArtifactError(f"metadata file is not valid JSON: {exc}")
     content = Path(args.content).read_bytes()
     if args.addr:
         payload = json.dumps(meta).encode("utf-8") + b"\n" + content

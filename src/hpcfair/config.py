@@ -110,7 +110,7 @@ def parse_config(text: bytes | str, *,
         text = text.decode("utf-8")
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"malformed config document: {exc}")
     if doc is None:
         doc = {}

@@ -17,12 +17,12 @@ added without broadcasting.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ._canonical import loads_canonical
 from .config import TaskConfig, as_list
 from .errors import ConfigError, ConversionError, MalformedDocumentError, \
     UnknownBackendError
@@ -83,10 +83,8 @@ class LayerDagCheckpoint:
 
 
 def _load_doc(data: bytes | str) -> dict[str, Any]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = loads_canonical(data)
     except ValueError as exc:
         raise MalformedDocumentError(f"invalid checkpoint document: {exc}")
     _expect(isinstance(doc, dict), "checkpoint document must be an object")

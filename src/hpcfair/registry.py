@@ -3,9 +3,10 @@
 Every artifact gets a persistent identifier derived from its bytes, so
 identifiers are globally unique with zero coordination and duplicate uploads
 are detected by construction.  Metadata lives in an append-only log
-(``meta.log``) replayed into an in-memory index on startup; blobs live under
-``blobs/<hh>/<fullhash>``; credentials are stored only as salted hashes in
-``tokens``.  Pushing a "pt" or "tf" model automatically registers a
+(``meta.log``), credentials only as salted hashes in ``tokens``, and blobs
+under ``blobs/<hh>/<fullhash>``.  Each handle follows both logs from where
+it last stopped, and a push checks for duplicates and appends under
+``meta.log``'s lock.  Pushing a "pt" or "tf" model automatically registers a
 companion interchange artifact with a "converted-from" provenance edge; the
 two records are one ``meta.log`` batch, kept or lost together.
 """
@@ -19,9 +20,9 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from ._canonical import append_records, read_records
+from ._canonical import append_records, appending, read_records
 from .converters import BACKENDS, convert_checkpoint_bytes
 from .errors import (
     AuthError,
@@ -212,7 +213,7 @@ def _slug(text: str) -> str:
 
 
 class Registry:
-    """Shared store object; writes are serialized, reads are lock-free."""
+    """Shared store object; ``_catch_up`` is the only writer of its index."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -221,20 +222,36 @@ class Registry:
         self.token_file = self.root / "tokens"
         self.root.mkdir(parents=True, exist_ok=True)
         self.blob_dir.mkdir(exist_ok=True)
-        self._write_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the index and _follow
         self._records: dict[str, ArtifactRecord] = {}
         self._by_hash: dict[str, str] = {}  # content_hash -> pid
-        if self.token_file.exists():
-            # authenticate reads tokens on every call; cut a torn tail once
-            append_records(self.token_file, [])
+        self._tokens: list[tuple[str, str, str, str, str]] = []
+        self._follow = {self.meta_log: (0, -1), self.token_file: (0, -1)}
         self._load()
 
     def _load(self) -> None:
-        for row in read_records(self.meta_log):
-            record = ArtifactRecord.from_dict(row)
-            self._records[record.pid] = record
-            self._by_hash[record.content_hash] = record.pid
+        self._catch_up()
         logger.info("registry loaded: %d records", len(self._records))
+
+    def _catch_up(self) -> None:
+        """Index what meta.log and tokens gained since the last call."""
+        with self._lock:
+            for row in self._new_rows(self.meta_log):
+                record = ArtifactRecord.from_dict(row)
+                self._records[record.pid] = record
+                self._by_hash[record.content_hash] = record.pid
+            for row in self._new_rows(self.token_file):
+                self._tokens.append((row["salt"], row["token_hash"],
+                                     row["account"], row["role"],
+                                     row["expires_at"]))
+
+    def _new_rows(self, path: Path) -> Iterator[Any]:
+        offset, seen = self._follow[path]  # offset read to, size when read
+        size = path.stat().st_size if path.exists() else 0
+        if size != seen:  # one stat when nothing was appended
+            offset, rows = read_records(path, offset)
+            yield from rows
+            self._follow[path] = (offset, size)
 
     # -- credentials -------------------------------------------------------
 
@@ -269,14 +286,15 @@ class Registry:
         token = _token_of(cred)
         if not token:
             raise AuthError("missing credential", code="unauthorized")
-        for row in read_records(self.token_file):
-            if self._hash_token(row["salt"], token) != row["token_hash"]:
+        self._catch_up()
+        for salt, token_hash, account, role, expires_at in self._tokens:
+            if self._hash_token(salt, token) != token_hash:
                 continue
-            expires_at = datetime.fromisoformat(row["expires_at"])
-            if datetime.now(timezone.utc) >= expires_at:
+            if datetime.now(timezone.utc) >= \
+                    datetime.fromisoformat(expires_at):
                 raise AuthError("credential has expired",
                                 code="expired_token")
-            return row["account"], row["role"]
+            return account, role
         raise AuthError("unknown credential", code="unknown_token")
 
     def _require_role(self, cred: Credential | str | None,
@@ -300,44 +318,42 @@ class Registry:
         account, _ = self._require_role(cred, "publisher")
         self._check_draft(draft)
 
-        with self._write_lock:
-            planned = [(content, self._complete(content, draft, account))]
-            if draft.artifact_type == "model" and \
-                    draft.backend_tag in BACKENDS:
-                planned.append(self._plan_companion(planned[0][1], content,
-                                                    draft, account))
+        planned = [(content, self._complete(content, draft, account))]
+        if draft.artifact_type == "model" and draft.backend_tag in BACKENDS:
+            planned.append(self._plan_companion(planned[0][1], content,
+                                                draft, account))
+        records = [record for _, record in planned]
 
-            for blob, record in planned:
+        with appending(self.meta_log) as append:
+            self._catch_up()  # other handles and processes push too
+            for record in records:
                 existing = self._by_hash.get(record.content_hash)
                 if existing is not None:
                     raise DuplicateContentError(
                         f"content already registered as {existing}",
                         existing_pid=existing)
-            seen_hashes = {record.content_hash for _, record in planned}
-            if len(seen_hashes) != len(planned):
+            if len({record.content_hash for record in records}) != \
+                    len(records):
                 raise DuplicateContentError(
                     "model and its converted form hash identically",
-                    existing_pid=planned[0][1].pid)
-            for _, record in planned:
+                    existing_pid=records[0].pid)
+            for record in records:
                 for parent, operation in record.provenance:
                     if operation not in PROVENANCE_OPS:
                         raise InvalidArtifactError(
                             f"unknown provenance operation {operation!r}")
                     if parent not in self._records and \
-                            parent not in [r.pid for _, r in planned]:
+                            parent not in [r.pid for r in records]:
                         raise InvalidArtifactError(
                             f"provenance parent {parent} is not registered")
-
             for blob, record in planned:
                 self._write_blob(record.content_hash, blob)
-            append_records(self.meta_log,
-                           [record.to_dict() for _, record in planned])
-            for _, record in planned:
-                self._records[record.pid] = record
-                self._by_hash[record.content_hash] = record.pid
-                logger.info("registered %s (%s/%s)", record.pid,
-                            record.artifact_type, record.backend_tag)
-        return [record for _, record in planned]
+            append([record.to_dict() for record in records])
+        self._catch_up()  # indexes the push by reading its line back
+        for record in records:
+            logger.info("registered %s (%s/%s)", record.pid,
+                        record.artifact_type, record.backend_tag)
+        return records
 
     def _check_draft(self, draft: ArtifactDraft) -> None:
         if not draft.title:
@@ -398,6 +414,7 @@ class Registry:
 
     def fetch_metadata(self, pid: str) -> ArtifactRecord:
         """Public read: Findable requires no credential."""
+        self._catch_up()
         record = self._records.get(pid)
         if record is None:
             raise UnknownPidError(f"unknown pid {pid}")
@@ -428,7 +445,7 @@ class Registry:
             raise ConfigError("search query requires at least one field")
         want_tags = normalize_tags(query.tags)
         matches = []
-        for record in self._records.values():
+        for record in self.all_records():  # a snapshot: pushes may go on
             if want_tags and not set(want_tags) <= set(record.tags):
                 continue
             if query.artifact_type and \
@@ -445,4 +462,6 @@ class Registry:
         return matches
 
     def all_records(self) -> list[ArtifactRecord]:
-        return list(self._records.values())
+        self._catch_up()
+        with self._lock:
+            return list(self._records.values())

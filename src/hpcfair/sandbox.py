@@ -124,7 +124,7 @@ def parse_manifest(data: bytes | str) -> SandboxManifest:
         data = data.decode("utf-8")
     try:
         doc = yaml.safe_load(data)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise MalformedDocumentError(f"malformed manifest: {exc}")
     if not isinstance(doc, dict):
         raise MalformedDocumentError("manifest must be a mapping")
@@ -256,14 +256,6 @@ def run_container(image: ImageRecord, run_root: str | Path,
     manifest = image.manifest
     run_id = "run-" + secrets.token_hex(8)
     workspace = Path(run_root) / run_id
-    shutil.copytree(image.staged_root, workspace)
-
-    for relpath, data in (input_overrides or {}).items():
-        target = workspace / _check_rel_path(relpath, "input_overrides")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
-    input_digest = digest_paths(workspace, manifest.declared_inputs)
-
     argv = manifest.entrypoint.split()
     env = {key: os.environ[key] for key in _BASELINE_ENV
            if key in os.environ}
@@ -275,13 +267,23 @@ def run_container(image: ImageRecord, run_root: str | Path,
         logger.warning("executing on cpu (gpu unavailable in reference "
                        "runtime)")
 
+    shutil.copytree(image.staged_root, workspace)
     try:
-        proc = subprocess.run(argv, cwd=workspace, env=env,
-                              capture_output=True, text=True, timeout=60)
-    except FileNotFoundError:
-        raise SandboxError(f"entrypoint program not found: {argv[0]}")
-    except subprocess.TimeoutExpired:
-        raise SandboxError(f"entrypoint timed out: {manifest.entrypoint}")
+        for relpath, data in (input_overrides or {}).items():
+            target = workspace / _check_rel_path(relpath, "input_overrides")
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+        input_digest = digest_paths(workspace, manifest.declared_inputs)
+        try:
+            proc = subprocess.run(argv, cwd=workspace, env=env,
+                                  capture_output=True, text=True, timeout=60)
+        except FileNotFoundError:
+            raise SandboxError(f"entrypoint program not found: {argv[0]}")
+        except subprocess.TimeoutExpired:
+            raise SandboxError(f"entrypoint timed out: {manifest.entrypoint}")
+    except BaseException:  # no runs.log record will name this workspace
+        shutil.rmtree(workspace, ignore_errors=True)
+        raise
 
     errors = []
     missing = [p for p in manifest.declared_outputs

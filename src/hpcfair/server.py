@@ -13,14 +13,13 @@ server needs no extra locks beyond the task table's.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from ._canonical import dumps_canonical
+from ._canonical import dumps_canonical, loads_canonical
 from .config import parse_config, validate_config
 from .errors import AuthError, HpcfairError, InvalidArtifactError, \
     MalformedDocumentError, UnknownTaskError
@@ -267,8 +266,8 @@ def _split_upload(body: bytes) -> tuple[dict, bytes]:
         raise InvalidArtifactError(
             "upload body must be a metadata line, a newline, then content")
     try:
-        meta = json.loads(body[:newline].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # or nested too deeply
+        meta = loads_canonical(body[:newline])
+    except ValueError as exc:
         raise InvalidArtifactError(f"metadata line is not valid JSON: {exc}")
     if not isinstance(meta, dict):
         raise InvalidArtifactError("metadata must be a JSON object")

@@ -264,6 +264,32 @@ class TestCli:
                      "--content", str(tmp_path / "model.ckpt")])
         assert code == 0
 
+    def test_store_push_beside_a_server_is_found_through_it(
+            self, tmp_path, server, publisher, capsys):
+        # the CLI opens its own handle on the server's store
+        meta = write_meta(tmp_path / "meta.json")
+        content = make_model_checkpoint("beside")
+        (tmp_path / "model.ckpt").write_bytes(content)
+        code = main(["--store", str(server.registry.root),
+                     "--token", publisher.token, "push", "--meta", str(meta),
+                     "--content", str(tmp_path / "model.ckpt")])
+        assert code == 0
+        records = requests.get(f"{server.address}/v1/search",
+                               params={"tags": "nlp"}).json()["data"]
+        assert derive_pid(content) in [r["pid"] for r in records["records"]]
+
+    @pytest.mark.parametrize("text", ["{not json", "[" * 100000],
+                             ids=["not-json", "deep"])
+    def test_push_with_a_bad_meta_file_exits_1(self, tmp_path, capsys, text):
+        token = self.issue_token(tmp_path, capsys)
+        (tmp_path / "meta.json").write_text(text)
+        (tmp_path / "model.ckpt").write_bytes(make_model_checkpoint("bad"))
+        code = main(["--store", str(tmp_path / "store"), "--token", token,
+                     "push", "--meta", str(tmp_path / "meta.json"),
+                     "--content", str(tmp_path / "model.ckpt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid_artifact:")
+
     def test_json_format_prints_machine_readable_body(self, tmp_path,
                                                       capsys):
         token = self.issue_token(tmp_path, capsys)

@@ -13,7 +13,9 @@ from hypothesis import given, strategies as st
 
 import oracle
 from graphgen import random_graph
-from hpcfair.errors import InvalidArtifactError
+from hpcfair.config import parse_config
+from hpcfair.converters import parse_layerdag, parse_sequential
+from hpcfair.errors import HpcfairError, InvalidArtifactError
 from hpcfair.interchange import (
     GraphNode,
     Tensor,
@@ -22,7 +24,9 @@ from hpcfair.interchange import (
     validate_graph,
 )
 from hpcfair.registry import ArtifactDraft
-from hpcfair.runtime import NamedTensorSet, apply_node, execute
+from hpcfair.runtime import NamedTensorSet, apply_node, execute, \
+    parse_tensor_set
+from hpcfair.sandbox import parse_manifest
 from hpcfair.server import _split_upload
 
 
@@ -160,3 +164,19 @@ def test_any_upload_body_splits_or_is_rejected(body):
 def test_malformed_upload_bodies_are_rejected(body):
     with pytest.raises(InvalidArtifactError):
         _split_upload(body)
+
+
+@pytest.mark.parametrize("parse,code", [
+    (parse_graph, "malformed_document"),
+    (parse_tensor_set, "malformed_document"),
+    (parse_sequential, "malformed_document"),
+    (parse_layerdag, "malformed_document"),
+    (parse_config, "invalid_config"),
+    (parse_manifest, "malformed_document"),
+], ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("doc", [b"[" * 100_000, b'{"a":' * 100_000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_documents_are_typed_errors(parse, code, doc):
+    with pytest.raises(HpcfairError) as err:
+        parse(doc)
+    assert err.value.code == code

@@ -4,11 +4,13 @@ import json
 import multiprocessing
 import random
 import re
+import sys
+import threading
 
 import pytest
 
 import oracle
-from hpcfair._canonical import dumps_canonical
+from hpcfair._canonical import dumps_canonical, read_records
 from hpcfair.errors import (
     AuthError,
     DuplicateContentError,
@@ -486,3 +488,119 @@ class TestOneBatchPerLine:
         for account, tokens in issued.items():
             for token in tokens:
                 assert store.authenticate(token) == (account, "reader")
+
+
+def _push_same_contents(root, count, barrier, results):
+    """Worker: open the store, wait for the others, then push the contents
+    every worker pushes; report how many were accepted."""
+    registry = Registry(root)
+    cred = registry.issue_token("worker", "publisher", 3600)
+    barrier.wait(timeout=60)
+    accepted = 0
+    for i in range(count):
+        try:
+            registry.register_artifact(f"shared {i}".encode(), draft(
+                f"Shared {i}", artifact_type="dataset", backend="csv"), cred)
+            accepted += 1
+        except DuplicateContentError:
+            pass
+    results.put(accepted)
+
+
+class TestFollowingTheLogs:
+    """Every handle on a store sees what any other handle or process
+    appended, and one content is registered once."""
+
+    def test_push_through_one_handle_is_seen_by_another(self, tmp_path):
+        root = tmp_path / "r"
+        first, second = Registry(root), Registry(root)
+        cred = first.issue_token("alice", "publisher", 3600)
+        assert second.authenticate(cred) == ("alice", "publisher")
+        [record] = first.register_artifact(b"same", draft(
+            "Same", artifact_type="dataset", backend="csv", tags=("x",)),
+            cred)
+        assert second.fetch_metadata(record.pid) == record
+        assert second.search(SearchQuery(tags=("x",))) == [record]
+        with pytest.raises(DuplicateContentError) as err:
+            second.register_artifact(b"same", draft(
+                "Again", artifact_type="dataset", backend="csv"), cred)
+        assert err.value.existing_pid == record.pid
+        assert first.meta_log.read_bytes().count(b"\n") == 1
+
+    def test_processes_pushing_the_same_contents_register_each_once(
+            self, tmp_path):
+        root = tmp_path / "r"
+        Registry(root)
+        ctx = multiprocessing.get_context("spawn")
+        barrier, results = ctx.Barrier(3), ctx.Queue()
+        procs = [ctx.Process(target=_push_same_contents,
+                             args=(root, 30, barrier, results))
+                 for _ in range(3)]
+        for proc in procs:
+            proc.start()
+        accepted = [results.get(timeout=120) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        assert sum(accepted) == 30
+        assert (root / "meta.log").read_bytes().count(b"\n") == 30
+        assert len(Registry(root).all_records()) == 30
+
+    def test_unchanged_logs_are_not_read_again(self, store, reader,
+                                               monkeypatch):
+        reads = []
+
+        def counting(path, start=0):
+            reads.append((path.name, start))
+            return read_records(path, start)
+
+        monkeypatch.setattr("hpcfair.registry.read_records", counting)
+        for _ in range(3):
+            assert store.authenticate(reader) == ("bob", "reader")
+        first_line = store.token_file.stat().st_size
+        publisher = store.issue_token("alice", "publisher", 3600)
+        [record] = store.register_artifact(b"d", draft(
+            "D", artifact_type="dataset", backend="csv"), publisher)
+        assert store.fetch_metadata(record.pid) == record
+        assert store.all_records() == [record]
+        # each line is read once, from where the last read of its log ended
+        assert reads == [("tokens", 0), ("tokens", first_line),
+                         ("meta.log", 0)]
+
+    def test_search_beside_pushes_sees_a_snapshot(self, store, publisher):
+        errors = []
+        done = threading.Event()
+
+        def searcher():
+            while not done.is_set():
+                try:
+                    store.search(SearchQuery(artifact_type="dataset"))
+                except Exception as exc:  # noqa: BLE001 - any is a failure
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=searcher)
+        thread.start()
+        try:
+            for i in range(300):
+                store.register_artifact(f"c{i}".encode(), draft(
+                    f"C{i}", artifact_type="dataset", backend="csv"),
+                    publisher)
+        finally:
+            done.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert errors == []
+        assert len(store.search(SearchQuery(artifact_type="dataset"))) == 300
+
+    def test_corrupt_tokens_line_fails_when_the_store_opens(self, tmp_path):
+        root = tmp_path / "r"
+        Registry(root).issue_token("alice", "publisher", 3600)
+        with open(root / "tokens", "ab") as fh:
+            fh.write(b'{"not json\n')
+        with pytest.raises(IntegrityError, match="tokens line") as err:
+            Registry(root)
+        assert err.value.code == "integrity_failure"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import subprocess
 import textwrap
 from types import SimpleNamespace
 
@@ -235,6 +236,27 @@ class TestRunContainer:
         image = build_image(manifest, project, tmp_path / "images")
         with pytest.raises(SandboxError, match="no_such_program_anywhere"):
             run_container(image, tmp_path / "runs")
+
+    def test_missing_entrypoint_program_leaves_no_workspace(self, tmp_path):
+        project = write_container_project(tmp_path)
+        manifest = dataclasses.replace(
+            parse_manifest((project / "build.yaml").read_bytes()),
+            entrypoint="no-such-program-xyz")
+        image = build_image(manifest, project, tmp_path / "images")
+        with pytest.raises(SandboxError, match="no-such-program-xyz"):
+            run_container(image, tmp_path / "runs")
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_timed_out_entrypoint_leaves_no_workspace(self, tmp_path,
+                                                      monkeypatch):
+        def time_out(argv, **kwargs):
+            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+        image = build_fixture_image(tmp_path)
+        monkeypatch.setattr(subprocess, "run", time_out)
+        with pytest.raises(SandboxError, match="timed out"):
+            run_container(image, tmp_path / "runs")
+        assert list((tmp_path / "runs").iterdir()) == []
 
     def test_manifest_env_and_volume_reach_the_process(self, tmp_path):
         project = write_container_project(tmp_path)

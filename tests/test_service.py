@@ -198,6 +198,13 @@ class TestTaskEndpoints:
         assert "inference requires task_args.input" \
             in body["data"]["violations"]
 
+    def test_deeply_nested_config_is_400_not_500(self, server, publisher):
+        r = requests.post(
+            f"{server.address}/v1/tasks", data=b"[" * 100000,
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 400
+        assert r.json()["error"]["code"] == "invalid_config"
+
     def test_task_submission_requires_token(self, server):
         r = requests.post(f"{server.address}/v1/tasks", data=b"x")
         assert r.status_code == 401
