@@ -7,6 +7,7 @@ reorder keys.  ``loads_canonical`` is the only JSON decoder.  The store's
 logs (``meta.log``, ``tokens``, ``runs.log``) are written only under
 ``appending``, which holds a log's lock through a caller's check and append,
 and read only by ``read_records``, from the offset it last returned.
+``fields`` and ``check`` are the shape check of every incoming document.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import logging
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import IntegrityError
+from .errors import HpcfairError, IntegrityError
 
 logger = logging.getLogger(__name__)
 
@@ -32,13 +33,80 @@ def dumps_canonical(obj: Any) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def loads_canonical(data: bytes | str) -> Any:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def loads_canonical(data: bytes | str, what: str,
+                    error: type[HpcfairError]) -> Any:
+    """Decode one JSON document, or raise ``error``: "<what> is not valid
+    JSON: <reason>", also for bytes that are not UTF-8 and deep nesting."""
     try:
-        return json.loads(data)
-    except RecursionError:  # a ValueError, which every caller maps to a code
-        raise ValueError("document is nested too deeply") from None
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes)
+                          else data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+class Kind(NamedTuple):
+    """What a document field must be: the noun a message uses, its plural
+    and its test."""
+
+    noun: str
+    plural: str
+    test: Callable[[Any], bool]
+
+    def list(self, nonempty: bool = False) -> "Kind":
+        """A list (or tuple) whose every item is of this kind."""
+        lists = ("non-empty " if nonempty else "") + "lists of " + self.plural
+        return Kind("a " + lists.replace("lists", "list", 1), lists,
+                    lambda v: isinstance(v, (list, tuple))
+                    and (bool(v) or not nonempty) and all(map(self.test, v)))
+
+
+STR = Kind("a string", "strings", lambda v: isinstance(v, str))
+NAME = Kind("a non-empty string", "non-empty strings",
+            lambda v: isinstance(v, str) and v != "")
+INT = Kind("an integer", "integers", lambda v: type(v) is int)  # not bool
+DIM = Kind("a non-negative integer", "non-negative integers",
+           lambda v: type(v) is int and v >= 0)
+POSITIVE = Kind("a positive integer", "positive integers",
+                lambda v: type(v) is int and v > 0)
+LIST = Kind("a list", "lists", lambda v: isinstance(v, list))
+OBJECT = Kind("an object", "objects", lambda v: isinstance(v, dict))
+
+
+def check(value: Any, kind: Kind, what: str,
+          error: type[HpcfairError]) -> Any:
+    """``value`` if it is of ``kind``; otherwise raise ``error`` with the
+    message "<what> must be <noun>"."""
+    if not kind.test(value):
+        raise error(f"{what} must be {kind.noun}")
+    return value
+
+
+def fields(doc: Any, where: str, error: type[HpcfairError],
+           required: Mapping[str, Kind | None],
+           optional: Mapping[str, tuple[Kind | None, Any]] = {}) -> list:
+    """An object's required, then optional field values, in declaration
+    order.  ``optional`` maps a key to (kind, value when absent); a kind of
+    None leaves the test to the caller.  A malformed ``doc`` raises
+    ``error``: "<where> must be an object", "<where>: unknown keys [...]",
+    "<where>: missing '<key>'" or "<where>: '<key>' must be <noun>"."""
+    check(doc, OBJECT, where, error)
+    unknown = doc.keys() - required.keys() - optional.keys()
+    if unknown:  # str(): YAML keys may mix types
+        raise error(f"{where}: unknown keys {sorted(map(str, unknown))}")
+    values = []
+    for key, kind in required.items():
+        if key not in doc:
+            raise error(f"{where}: missing '{key}'")
+        value = doc[key]
+        if kind is not None and not kind.test(value):
+            raise error(f"{where}: '{key}' must be {kind.noun}")
+        values.append(value)
+    for key, (kind, default) in optional.items():
+        value = doc.get(key, default)
+        if kind is not None and key in doc and not kind.test(value):
+            raise error(f"{where}: '{key}' must be {kind.noun}")
+        values.append(value)
+    return values
 
 
 @contextmanager
@@ -92,11 +160,8 @@ def _rows(path: Path, data: bytes, start: int, end: int) -> Iterator[Any]:
         line, at, pos = data[pos:stop], start + pos, stop
         if not line.strip():
             continue
-        try:
-            row = loads_canonical(line)
-        except ValueError as exc:
-            raise IntegrityError(
-                f"{path} line at byte {at} does not parse: {exc}") from None
+        row = loads_canonical(line, f"{path} line at byte {at}",
+                              IntegrityError)
         if isinstance(row, list):
             yield from row
         else:

@@ -92,10 +92,8 @@ def _registry(parser: argparse.ArgumentParser, args) -> Registry:
 
 
 def cmd_push(parser, args) -> int:
-    try:
-        meta = loads_canonical(Path(args.meta).read_bytes())
-    except ValueError as exc:
-        raise InvalidArtifactError(f"metadata file is not valid JSON: {exc}")
+    meta = loads_canonical(Path(args.meta).read_bytes(), "metadata file",
+                           InvalidArtifactError)
     content = Path(args.content).read_bytes()
     if args.addr:
         payload = json.dumps(meta).encode("utf-8") + b"\n" + content

@@ -3,9 +3,10 @@
 A config has sections ``general_args``, ``device_args``, a task section
 (named ``task_args`` or ``model_args`` -- both spellings occur in the wild
 and are accepted as aliases), and ``out_args``.  Parsing is lossless: every
-key/value survives into the :class:`TaskConfig`, unknown keys land in
-``extras`` with a warning rather than an error, and ``serialize_config``
-re-emits a canonical byte form suitable for golden-file comparison.
+key/value survives into the :class:`TaskConfig`, keys and sections it does
+not know land in ``extras`` with a warning rather than an error, and
+``serialize_config`` re-emits a canonical byte form suitable for golden-file
+comparison; keys must be strings and values scalars or flat lists.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any
 
 import yaml
 
-from ._canonical import dumps_canonical
+from ._canonical import OBJECT, POSITIVE, STR, Kind, check, dumps_canonical
 from .errors import ConfigError, ValidationReport
 
 logger = logging.getLogger(__name__)
@@ -86,37 +87,31 @@ _SECTIONS = ("general_args", "device_args", "task_args", "model_args",
              "out_args")
 
 
-def _is_scalar(v: Any) -> bool:
-    return v is None or isinstance(v, (str, int, float, bool))
+_SCALAR = Kind("a scalar", "scalars",
+               lambda v: v is None or isinstance(v, (str, int, float, bool)))
+_SCALARS = _SCALAR.list()
+_VALUE = Kind("a scalar or a flat sequence", "values",
+              lambda v: _SCALAR.test(v) or _SCALARS.test(v))
 
 
 def _check_section(name: str, value: Any) -> dict[str, Any]:
-    if not isinstance(value, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
+    check(value, OBJECT, f"section '{name}'", ConfigError)
     for key, v in value.items():
-        if not isinstance(key, str):
-            raise ConfigError(f"section '{name}' has a non-string key {key!r}")
-        if not (_is_scalar(v) or
-                (isinstance(v, list) and all(_is_scalar(x) for x in v))):
-            raise ConfigError(
-                f"'{name}.{key}' must be a scalar or a flat sequence")
+        check(key, STR, f"section '{name}' key {key!r}", ConfigError)
+        check(v, _VALUE, f"'{name}.{key}'", ConfigError)
     return value
 
 
 def parse_config(text: bytes | str, *,
                  base_dir: Path | None = None) -> TaskConfig:
-    """Parse a config document; lossless, warning on unknown keys."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Parse a config document; lossless, warning on keys it does not know."""
     try:
-        doc = yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:
+        doc = yaml.safe_load(text.decode("utf-8") if isinstance(text, bytes)
+                             else text)
+    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"malformed config document: {exc}")
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a mapping of sections")
-
+    doc = check({} if doc is None else doc, OBJECT, "config document",
+                ConfigError)
     warnings: list[str] = []
     extras: dict[str, Any] = {}
 
@@ -153,9 +148,12 @@ def parse_config(text: bytes | str, *,
     general_known = take("general_args", general_raw, _GENERAL_KEYS)
     device_known = take("device_args", device_raw, _DEVICE_KEYS)
 
-    for section in doc:
-        if section not in _SECTIONS:
-            extras[section] = doc[section]
+    for section, value in doc.items():
+        check(section, STR, f"section name {section!r}", ConfigError)
+        if section not in _SECTIONS:  # kept in extras, so it must serialize
+            extras[section] = _check_section(section, value) \
+                if OBJECT.test(value) else \
+                check(value, _VALUE, f"section '{section}'", ConfigError)
             warnings.append(f"unknown section '{section}'")
 
     for message in warnings:
@@ -172,7 +170,7 @@ def parse_config(text: bytes | str, *,
         gpu_mapping_file=device_known.get("gpu_mapping_file"),
         gpu_mapping_key=device_known.get("gpu_mapping_key"),
     )
-    return TaskConfig(
+    cfg = TaskConfig(
         general=general,
         device=device,
         task_args=dict(task_raw),
@@ -182,6 +180,11 @@ def parse_config(text: bytes | str, *,
         warnings=tuple(warnings),
         base_dir=base_dir,
     )
+    try:
+        serialize_config(cfg)
+    except ValueError as exc:  # NaN, infinities and lone surrogates
+        raise ConfigError(f"config has no canonical form: {exc}") from None
+    return cfg
 
 
 def load_config(path: str | Path) -> TaskConfig:
@@ -221,7 +224,7 @@ def validate_config(cfg: TaskConfig) -> ValidationReport:
         v.append(f"general_args.task must be one of {list(TASKS)}, "
                  f"got {task!r}")
     wn = cfg.device.worker_num
-    if not isinstance(wn, int) or isinstance(wn, bool) or wn < 1:
+    if not POSITIVE.test(wn):
         v.append("worker_num must be >= 1")
     if cfg.device.device not in DEVICES:
         v.append(f"device must be one of {list(DEVICES)}, "
@@ -262,8 +265,7 @@ def validate_config(cfg: TaskConfig) -> ValidationReport:
         require(("work_dir", "build_file", "build_tag", "volume"))
 
     ver = cfg.task_args.get("onnx_version")
-    if ver is not None and (not isinstance(ver, int) or isinstance(ver, bool)
-                            or ver < 1):
+    if ver is not None and not POSITIVE.test(ver):
         v.append(f"onnx_version must be an integer >= 1, got {ver!r}")
 
     return ValidationReport.from_violations(v)

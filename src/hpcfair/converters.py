@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ._canonical import loads_canonical
+from ._canonical import INT, LIST, NAME, OBJECT, POSITIVE, STR, Kind, check, \
+    fields, loads_canonical
 from .config import TaskConfig, as_list
 from .errors import ConfigError, ConversionError, MalformedDocumentError, \
     UnknownBackendError
@@ -35,6 +36,7 @@ SEQUENTIAL_TAG = "pt-ckpt-v1"
 LAYERDAG_TAG = "tf-ckpt-v1"
 
 _ACTIVATIONS = ("relu", "sigmoid", "tanh")
+_DAG_OPS = ("dense",) + _ACTIVATIONS + ("softmax", "concat")
 _ACT_OP = {"relu": "Relu", "sigmoid": "Sigmoid", "tanh": "Tanh",
            "softmax": "Softmax"}
 
@@ -82,29 +84,22 @@ class LayerDagCheckpoint:
 # checkpoint document parsing
 
 
-def _load_doc(data: bytes | str) -> dict[str, Any]:
-    try:
-        doc = loads_canonical(data)
-    except ValueError as exc:
-        raise MalformedDocumentError(f"invalid checkpoint document: {exc}")
-    _expect(isinstance(doc, dict), "checkpoint document must be an object")
-    return doc
+_ROW = Kind("a non-empty list", "non-empty lists",
+           lambda v: LIST.test(v) and v != [])
+_MATRIX = _ROW.list(nonempty=True)
+_NAMES = STR.list(nonempty=True)
+_AXIS = {"axis": INT}
 
 
 def _parse_matrix(raw: Any, where: str) -> Matrix:
-    _expect(isinstance(raw, list) and raw and
-            all(isinstance(row, list) and row for row in raw),
-            f"{where} must be a non-empty 2-D matrix")
-    width = len(raw[0])
-    rows = []
-    for row in raw:
-        _expect(len(row) == width, f"{where} rows have unequal lengths")
-        rows.append(tuple(_parse_number(x, where) for x in row))
-    return tuple(rows)
+    check(raw, _MATRIX, where, MalformedDocumentError)
+    _expect(all(len(row) == len(raw[0]) for row in raw),
+            f"{where} rows have unequal lengths")
+    return tuple(tuple(_parse_number(x, where) for x in row) for row in raw)
 
 
 def _parse_vector(raw: Any, where: str) -> tuple[float, ...]:
-    _expect(isinstance(raw, list) and raw, f"{where} must be a non-empty list")
+    check(raw, _ROW, where, MalformedDocumentError)
     return tuple(_parse_number(x, where) for x in raw)
 
 
@@ -114,47 +109,34 @@ def _parse_number(x: Any, where: str) -> float:
     return quantize(float(x), "f32")
 
 
-def _parse_axis(raw: Any, where: str) -> int:
-    _expect(isinstance(raw, int) and not isinstance(raw, bool),
-            f"{where}: axis must be an integer")
-    return raw
-
-
 def parse_sequential(data: bytes | str) -> SequentialCheckpoint:
-    doc = _load_doc(data)
-    unknown = set(doc) - {"format_tag", "layers"}
-    _expect(not unknown, f"unknown checkpoint keys {sorted(unknown)}")
-    _expect(doc.get("format_tag") == SEQUENTIAL_TAG,
-            f"expected format_tag '{SEQUENTIAL_TAG}', "
-            f"got {doc.get('format_tag')!r}")
-    raw_layers = doc.get("layers")
-    _expect(isinstance(raw_layers, list), "'layers' must be a list")
-
+    doc = loads_canonical(data, "checkpoint", MalformedDocumentError)
+    tag, raw_layers = fields(doc, "checkpoint", MalformedDocumentError,
+                             {"format_tag": None, "layers": LIST})
+    _expect(tag == SEQUENTIAL_TAG,
+            f"expected format_tag '{SEQUENTIAL_TAG}', got {tag!r}")
     layers = []
     for i, raw in enumerate(raw_layers):
         where = f"layer {i}"
-        _expect(isinstance(raw, dict), f"{where} must be an object")
-        kind = raw.get("kind")
+        kind = check(raw, OBJECT, where, MalformedDocumentError).get("kind")
         if kind == "linear":
-            unknown = set(raw) - {"kind", "weight", "bias"}
-            _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
-            _expect("weight" in raw and "bias" in raw,
-                    f"{where}: linear layer needs 'weight' and 'bias'")
-            weight = _parse_matrix(raw["weight"], f"{where} weight")
-            bias = _parse_vector(raw["bias"], f"{where} bias")
+            _, weight, bias = fields(raw, where, MalformedDocumentError,
+                                     {"kind": None, "weight": None,
+                                      "bias": None})
+            weight = _parse_matrix(weight, f"{where} weight")
+            bias = _parse_vector(bias, f"{where} bias")
             if len(weight) != len(bias):
                 raise ConversionError(
                     f"{where}: weight has {len(weight)} output rows but bias "
                     f"has {len(bias)} entries")
             layers.append(SequentialLayer("linear", weight=weight, bias=bias))
         elif kind in _ACTIVATIONS:
-            _expect(set(raw) == {"kind"}, f"{where}: '{kind}' takes no keys")
+            fields(raw, where, MalformedDocumentError, {"kind": None})
             layers.append(SequentialLayer(kind))
         elif kind == "softmax":
-            _expect(set(raw) == {"kind", "axis"},
-                    f"{where}: softmax needs exactly 'kind' and 'axis'")
-            layers.append(SequentialLayer(
-                "softmax", axis=_parse_axis(raw["axis"], where)))
+            _, axis = fields(raw, where, MalformedDocumentError,
+                             {"kind": None} | _AXIS)
+            layers.append(SequentialLayer("softmax", axis=axis))
         else:
             raise MalformedDocumentError(
                 f"{where}: unknown layer kind {kind!r}")
@@ -162,76 +144,57 @@ def parse_sequential(data: bytes | str) -> SequentialCheckpoint:
 
 
 def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
-    doc = _load_doc(data)
-    unknown = set(doc) - {"format_tag", "inputs", "nodes", "outputs"}
-    _expect(not unknown, f"unknown checkpoint keys {sorted(unknown)}")
-    _expect(doc.get("format_tag") == LAYERDAG_TAG,
-            f"expected format_tag '{LAYERDAG_TAG}', "
-            f"got {doc.get('format_tag')!r}")
-
-    raw_inputs = doc.get("inputs")
-    _expect(isinstance(raw_inputs, list) and raw_inputs,
-            "'inputs' must be a non-empty list")
+    doc = loads_canonical(data, "checkpoint", MalformedDocumentError)
+    # outputs are tested after the nodes, which can raise ConversionError
+    tag, raw_inputs, raw_nodes, raw_outputs = fields(
+        doc, "checkpoint", MalformedDocumentError,
+        {"format_tag": None, "inputs": OBJECT.list(nonempty=True),
+         "nodes": Kind("a non-empty object", "objects",
+                       lambda v: OBJECT.test(v) and v != {})},
+        {"outputs": (None, None)})
+    _expect(tag == LAYERDAG_TAG,
+            f"expected format_tag '{LAYERDAG_TAG}', got {tag!r}")
     inputs = []
     for raw in raw_inputs:
-        _expect(isinstance(raw, dict) and set(raw) == {"name", "shape"},
-                "each input must be an object with 'name' and 'shape'")
-        name, shape = raw["name"], raw["shape"]
-        _expect(isinstance(name, str) and bool(name) and "/" not in name,
-                "input names must be non-empty and contain no '/'")
-        _expect(isinstance(shape, list) and shape and
-                all(isinstance(d, int) and not isinstance(d, bool) and d > 0
-                    for d in shape),
-                f"input '{name}': shape must be a list of positive integers")
+        name, shape = fields(raw, "input", MalformedDocumentError,
+                             {"name": NAME,
+                              "shape": POSITIVE.list(nonempty=True)})
+        _expect("/" not in name, f"input '{name}': name contains '/'")
         inputs.append(DagInput(name, tuple(shape)))
 
-    raw_nodes = doc.get("nodes")
-    _expect(isinstance(raw_nodes, dict) and raw_nodes,
-            "'nodes' must be a non-empty map")
     nodes: dict[str, DagNode] = {}
     for name, raw in raw_nodes.items():
         where = f"node '{name}'"
-        _expect(isinstance(name, str) and bool(name) and "/" not in name,
+        _expect(name and "/" not in name,
                 "node names must be non-empty and contain no '/'")
-        _expect(isinstance(raw, dict), f"{where} must be an object")
-        unknown = set(raw) - {"op", "inbound", "params", "attrs"}
-        _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
-        kind = raw.get("op")
-        _expect(kind in ("dense",) + _ACTIVATIONS + ("softmax", "concat"),
-                f"{where}: unknown op {kind!r}")
-        inbound_raw = raw.get("inbound")
-        _expect(isinstance(inbound_raw, list) and inbound_raw and
-                all(isinstance(x, str) for x in inbound_raw),
-                f"{where}: 'inbound' must be a non-empty list of names")
-
+        kind, inbound, params, attrs = fields(
+            raw, where, MalformedDocumentError,
+            {"op": None, "inbound": _NAMES},
+            {"params": (None, None), "attrs": (None, None)})
+        _expect(kind in _DAG_OPS, f"{where}: unknown op {kind!r}")
         kernel = bias = axis = None
-        params = raw.get("params")
         if kind == "dense":
-            _expect(isinstance(params, dict) and
-                    set(params) == {"kernel", "bias"},
-                    f"{where}: dense needs params with 'kernel' and 'bias'")
-            kernel = _parse_matrix(params["kernel"], f"{where} kernel")
-            bias = _parse_vector(params["bias"], f"{where} bias")
+            kernel, bias = fields(params, f"{where} params",
+                                  MalformedDocumentError,
+                                  {"kernel": None, "bias": None})
+            kernel = _parse_matrix(kernel, f"{where} kernel")
+            bias = _parse_vector(bias, f"{where} bias")
             if len(kernel[0]) != len(bias):
                 raise ConversionError(
                     f"{where}: kernel has {len(kernel[0])} output columns "
                     f"but bias has {len(bias)} entries")
         else:
             _expect(params is None, f"{where}: only dense takes params")
-        attrs = raw.get("attrs")
         if kind in ("softmax", "concat"):
-            _expect(isinstance(attrs, dict) and set(attrs) == {"axis"},
-                    f"{where}: {kind} needs attrs with 'axis'")
-            axis = _parse_axis(attrs["axis"], where)
+            (axis,) = fields(attrs, f"{where} attrs", MalformedDocumentError,
+                             _AXIS)
         else:
             _expect(attrs is None, f"{where}: '{kind}' takes no attrs")
-        nodes[name] = DagNode(kind, tuple(inbound_raw), kernel=kernel,
+        nodes[name] = DagNode(kind, tuple(inbound), kernel=kernel,
                               bias=bias, axis=axis)
 
-    raw_outputs = doc.get("outputs")
-    _expect(isinstance(raw_outputs, list) and raw_outputs and
-            all(isinstance(x, str) for x in raw_outputs),
-            "'outputs' must be a non-empty list of node names")
+    check(raw_outputs, _NAMES, "checkpoint: 'outputs'",
+          MalformedDocumentError)
     return LayerDagCheckpoint(tuple(inputs), nodes, tuple(raw_outputs))
 
 

@@ -21,7 +21,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._canonical import dumps_canonical, loads_canonical
+from ._canonical import DIM, INT, LIST, NAME, OBJECT, POSITIVE, STR, Kind, \
+    check, dumps_canonical, fields, loads_canonical
 from .errors import (
     CompositionError,
     CycleError,
@@ -32,6 +33,10 @@ from .errors import (
 )
 
 DTYPES = ("f32", "f64", "i64")
+_DIMS = DIM.list()
+_INTS = INT.list()
+_ATTR = Kind("an integer, integer sequence or string", "attributes",
+             lambda v: INT.test(v) or STR.test(v) or _INTS.test(v))
 
 Shape = tuple[int, ...]
 AttrValue = Any  # int | tuple[int, ...] | str
@@ -120,11 +125,11 @@ class InterchangeGraph:
 def _check_tensor_spec(t: Tensor, scope: str, *, want_data: bool | None,
                        out: list[str]) -> None:
     where = f"{scope} '{t.name}'"
-    if not isinstance(t.name, str) or not t.name:
+    if not NAME.test(t.name):
         out.append(f"{scope} has an empty name")
     if t.dtype not in DTYPES:
         out.append(f"{where} has unknown dtype '{t.dtype}'")
-    if not all(isinstance(d, int) and d >= 0 for d in t.shape):
+    if not _DIMS.test(t.shape):
         out.append(f"{where} has a negative or non-integer dimension")
         return
     if want_data is True:
@@ -141,8 +146,7 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
     """Check every structural invariant; violations name the offender."""
     v: list[str] = []
 
-    if not isinstance(g.ir_version, int) or isinstance(g.ir_version, bool) \
-            or g.ir_version < 1:
+    if not POSITIVE.test(g.ir_version):
         v.append(f"ir_version must be an integer >= 1, got {g.ir_version!r}")
 
     for t in g.inputs:
@@ -186,7 +190,7 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
                     v.append(f"node '{node.id}' ({node.op_type}) is missing "
                              f"required attribute '{attr}'")
         for key, value in node.attributes.items():
-            if not _attr_value_ok(value):
+            if not _ATTR.test(value):
                 v.append(f"node '{node.id}' attribute '{key}' must be an "
                          "integer, integer sequence or string")
         for out_name in node.outputs:
@@ -218,16 +222,6 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
             v.append(str(exc))
 
     return ValidationReport.from_violations(v)
-
-
-def _attr_value_ok(value: AttrValue) -> bool:
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, (int, str)):
-        return True
-    if isinstance(value, tuple):
-        return all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +342,7 @@ def _concat_shape(attrs, shapes):
 def _reshape_shape(attrs, shapes):
     (a,) = shapes
     target = attrs["target_shape"]
-    if not isinstance(target, tuple) or \
-            not all(isinstance(d, int) and d >= 0 for d in target):
+    if not _DIMS.test(target):
         raise _Expected(f"target_shape of non-negative integers, got {target!r}")
     if shape_numel(a) != shape_numel(target):
         raise _Expected(f"target_shape with {shape_numel(a)} elements, "
@@ -513,9 +506,12 @@ def serialize_graph(g: InterchangeGraph) -> bytes:
     return dumps_canonical(doc)
 
 
-_GRAPH_KEYS = {"name", "ir_version", "inputs", "outputs", "initializers",
-               "nodes", "doc"}
-_NODE_KEYS = {"id", "op_type", "inputs", "outputs", "attributes"}
+_TENSOR = {"name": NAME, "dtype": None, "shape": _DIMS}
+_INITIALIZER = _TENSOR | {"data": LIST}
+_NAMES = STR.list()
+# looked up in OPERATORS: unhashable is malformed, any other an unknown op
+_OP_TYPE = Kind("a string", "strings",
+                lambda v: not isinstance(v, (list, dict)))
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -524,31 +520,16 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def _parse_tensor(doc: Any, *, with_data: bool, where: str) -> Tensor:
-    _expect(isinstance(doc, dict), f"{where}: tensor entry must be an object")
-    allowed = {"name", "dtype", "shape"} | ({"data"} if with_data else set())
-    unknown = set(doc) - allowed
-    _expect(not unknown, f"{where}: unknown tensor keys {sorted(unknown)}")
-    for key in ("name", "dtype", "shape"):
-        _expect(key in doc, f"{where}: tensor entry missing '{key}'")
-    name, dtype, shape = doc["name"], doc["dtype"], doc["shape"]
-    _expect(isinstance(name, str) and bool(name),
-            f"{where}: tensor name must be a non-empty string")
+    name, dtype, shape, *data = fields(
+        doc, where, MalformedDocumentError,
+        _INITIALIZER if with_data else _TENSOR)
     _expect(dtype in DTYPES, f"tensor '{name}': unknown dtype {dtype!r}")
-    _expect(isinstance(shape, list) and
-            all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
-                for d in shape),
-            f"tensor '{name}': shape must be a list of non-negative integers")
-
-    data = None
     if with_data:
-        _expect("data" in doc, f"tensor '{name}' is missing data")
-        raw = doc["data"]
-        _expect(isinstance(raw, list), f"tensor '{name}': data must be a list")
-        _expect(len(raw) == shape_numel(shape),
-                f"tensor '{name}': data length {len(raw)} does not match "
+        _expect(len(data[0]) == shape_numel(shape),
+                f"tensor '{name}': data length {len(data[0])} does not match "
                 f"shape {shape}")
-        data = tuple(_parse_scalar(x, dtype, name) for x in raw)
-    return Tensor(name, dtype, tuple(shape), data)
+        data = [tuple(_parse_scalar(x, dtype, name) for x in data[0])]
+    return Tensor(name, dtype, tuple(shape), *data)
 
 
 def _parse_scalar(x: Any, dtype: str, name: str) -> float | int:
@@ -573,79 +554,43 @@ def quantize(x: float, dtype: str) -> float:
 
 
 def parse_graph(data: bytes | str) -> InterchangeGraph:
-    try:
-        doc = loads_canonical(data)
-    except ValueError as exc:
-        raise MalformedDocumentError(f"invalid interchange document: {exc}")
-    _expect(isinstance(doc, dict), "interchange document must be an object")
-    unknown = set(doc) - _GRAPH_KEYS
-    _expect(not unknown, f"unknown graph keys {sorted(unknown)}")
-    _expect(isinstance(doc.get("name"), str), "graph 'name' must be a string")
-    if "ir_version" not in doc:
-        raise MalformedDocumentError("graph is missing 'ir_version'")
-    ir_version = doc["ir_version"]
-    _expect(isinstance(ir_version, int) and not isinstance(ir_version, bool)
-            and ir_version >= 1,
-            f"ir_version must be an integer >= 1, got {ir_version!r}")
+    doc = loads_canonical(data, "interchange document", MalformedDocumentError)
+    # nodes first: an unknown op outranks a malformed tensor list or doc
+    name, ir_version, nodes, doc_str, inputs, outputs, initializers = fields(
+        doc, "graph", MalformedDocumentError,
+        {"name": STR, "ir_version": POSITIVE},
+        {"nodes": (LIST, []), "doc": (None, None), "inputs": (None, []),
+         "outputs": (None, []), "initializers": (None, [])})
+    nodes = tuple(_parse_node(n) for n in nodes)
+    _expect(doc_str is None or STR.test(doc_str),
+            "graph: 'doc' must be a string or null")
 
-    def tensor_list(key: str, with_data: bool) -> tuple[Tensor, ...]:
-        raw = doc.get(key, [])
-        _expect(isinstance(raw, list), f"graph '{key}' must be a list")
-        return tuple(_parse_tensor(t, with_data=with_data, where=key)
-                     for t in raw)
+    def tensors(key: str, raw: Any) -> tuple[Tensor, ...]:
+        check(raw, LIST, f"graph: '{key}'", MalformedDocumentError)
+        return tuple(_parse_tensor(t, with_data=key == "initializers",
+                                   where=key) for t in raw)
 
-    nodes_raw = doc.get("nodes", [])
-    _expect(isinstance(nodes_raw, list), "graph 'nodes' must be a list")
-    nodes = tuple(_parse_node(n) for n in nodes_raw)
-
-    doc_str = doc.get("doc")
-    _expect(doc_str is None or isinstance(doc_str, str),
-            "graph 'doc' must be a string or null")
-
-    return InterchangeGraph(
-        name=doc["name"],
-        ir_version=ir_version,
-        inputs=tensor_list("inputs", with_data=False),
-        outputs=tensor_list("outputs", with_data=False),
-        initializers=tensor_list("initializers", with_data=True),
-        nodes=nodes,
-        doc=doc_str,
-    )
+    return InterchangeGraph(name, ir_version, tensors("inputs", inputs),
+                            tensors("outputs", outputs),
+                            tensors("initializers", initializers),
+                            nodes, doc_str)
 
 
 def _parse_node(doc: Any) -> GraphNode:
-    _expect(isinstance(doc, dict), "node entry must be an object")
-    unknown = set(doc) - _NODE_KEYS
-    _expect(not unknown, f"node: unknown keys {sorted(unknown)}")
-    for key in ("id", "op_type", "inputs", "outputs"):
-        _expect(key in doc, f"node entry missing '{key}'")
-    node_id, op_type = doc["id"], doc["op_type"]
-    _expect(isinstance(node_id, str) and bool(node_id),
-            "node 'id' must be a non-empty string")
+    node_id, op_type, inputs, outputs, attrs = fields(
+        doc, "node", MalformedDocumentError,
+        {"id": NAME, "op_type": _OP_TYPE, "inputs": None, "outputs": None},
+        {"attributes": (None, {})})
+    where = f"node '{node_id}'"
     if op_type not in OPERATORS:
-        raise UnknownOperatorError(
-            f"node '{node_id}' has unknown op_type '{op_type}'")
-    for key in ("inputs", "outputs"):
-        _expect(isinstance(doc[key], list) and
-                all(isinstance(x, str) for x in doc[key]),
-                f"node '{node_id}': '{key}' must be a list of tensor names")
-    attrs_raw = doc.get("attributes", {})
-    _expect(isinstance(attrs_raw, dict),
-            f"node '{node_id}': 'attributes' must be an object")
-    attrs: dict[str, AttrValue] = {}
-    for key, value in attrs_raw.items():
-        if isinstance(value, list):
-            _expect(all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in value),
-                    f"node '{node_id}' attribute '{key}' must hold integers")
-            attrs[key] = tuple(value)
-        else:
-            _expect(isinstance(value, (int, str)) and not isinstance(value, bool),
-                    f"node '{node_id}' attribute '{key}' must be an integer, "
-                    "integer sequence or string")
-            attrs[key] = value
-    return GraphNode(node_id, op_type, tuple(doc["inputs"]),
-                     tuple(doc["outputs"]), attrs)
+        raise UnknownOperatorError(f"{where} has unknown op_type '{op_type}'")
+    check(inputs, _NAMES, f"{where}: 'inputs'", MalformedDocumentError)
+    check(outputs, _NAMES, f"{where}: 'outputs'", MalformedDocumentError)
+    check(attrs, OBJECT, f"{where}: 'attributes'", MalformedDocumentError)
+    for key, value in attrs.items():
+        check(value, _ATTR, f"{where} attribute '{key}'",
+              MalformedDocumentError)
+    return GraphNode(node_id, op_type, inputs, outputs, attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from ._canonical import append_records, appending, read_records
+from ._canonical import LIST, OBJECT, POSITIVE, STR, Kind, append_records, \
+    appending, check, fields, read_records
 from .converters import BACKENDS, convert_checkpoint_bytes
 from .errors import (
     AuthError,
@@ -132,53 +133,36 @@ class ArtifactDraft:
 
     def __post_init__(self) -> None:
         # the one type check of caller metadata, direct or from_dict
-        for name in ("title", "artifact_type", "backend_tag", "license"):
-            if not isinstance(getattr(self, name), str):
-                raise InvalidArtifactError(f"{name} must be a string")
-        if not isinstance(self.tags, (list, tuple)) or \
-                not all(isinstance(tag, str) for tag in self.tags):
-            raise InvalidArtifactError("tags must be a list of strings")
-        if not isinstance(self.version, int) or isinstance(self.version,
-                                                           bool) \
-                or self.version < 1:
-            raise InvalidArtifactError("version must be a positive integer")
-        if not isinstance(self.provenance, (list, tuple)) or not all(
-                isinstance(edge, tuple) and len(edge) == 2
-                and all(isinstance(part, str) for part in edge)
-                for edge in self.provenance):
-            raise InvalidArtifactError(
-                "provenance must be a list of {parent_pid, operation} "
-                "objects of strings")
+        for name, (kind, _) in _DRAFT_FIELDS.items():
+            check(getattr(self, name), kind, name, InvalidArtifactError)
         object.__setattr__(self, "tags", tuple(self.tags))
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ArtifactDraft":
-        if not isinstance(doc, dict):
-            raise InvalidArtifactError("artifact metadata must be an object")
-        known = {"title", "artifact_type", "backend_tag", "tags", "version",
-                 "license", "provenance"}
-        unknown = set(doc) - known
-        if unknown:
-            raise InvalidArtifactError(
-                f"unknown metadata keys {sorted(unknown)}")
+        values = fields(doc, "artifact metadata", InvalidArtifactError, {},
+                        {name: (None, default)
+                         for name, (_, default) in _DRAFT_FIELDS.items()})
+        draft = dict(zip(_DRAFT_FIELDS, values))
         # edge objects become (parent_pid, operation) pairs; anything else
         # is left for __post_init__ to reject
-        prov = doc.get("provenance", [])
-        if isinstance(prov, list):
-            prov = [(p["parent_pid"], p["operation"])
-                    if isinstance(p, dict)
-                    and set(p) == {"parent_pid", "operation"} else p
-                    for p in prov]
-        return cls(
-            title=doc.get("title", ""),
-            artifact_type=doc.get("artifact_type", ""),
-            backend_tag=doc.get("backend_tag", ""),
-            tags=doc.get("tags", []),
-            version=doc.get("version", 1),
-            license=doc.get("license", ""),
-            provenance=prov,
-        )
+        if LIST.test(draft["provenance"]):
+            draft["provenance"] = [
+                (p["parent_pid"], p["operation"]) if OBJECT.test(p)
+                and p.keys() == {"parent_pid", "operation"} else p
+                for p in draft["provenance"]]
+        return cls(**draft)
+
+
+_EDGE = Kind("a {parent_pid, operation} object of strings",
+             "{parent_pid, operation} objects of strings",
+             lambda v: isinstance(v, tuple) and len(v) == 2
+             and all(map(STR.test, v)))
+# each field's kind and the value from_dict gives it when absent
+_DRAFT_FIELDS = {"title": (STR, ""), "artifact_type": (STR, ""),
+                 "backend_tag": (STR, ""), "tags": (STR.list(), []),
+                 "version": (POSITIVE, 1), "license": (STR, ""),
+                 "provenance": (_EDGE.list(), [])}
 
 
 @dataclass(frozen=True)
@@ -205,6 +189,12 @@ def _token_of(cred: Credential | str | None) -> str | None:
     if cred is None:
         return None
     return cred.token if isinstance(cred, Credential) else cred
+
+
+def _ends_line(path: Path, size: int) -> bool:
+    with open(path, "rb") as fh:
+        fh.seek(size - 1)
+        return fh.read(1) == b"\n"
 
 
 def _slug(text: str) -> str:
@@ -248,7 +238,9 @@ class Registry:
     def _new_rows(self, path: Path) -> Iterator[Any]:
         offset, seen = self._follow[path]  # offset read to, size when read
         size = path.stat().st_size if path.exists() else 0
-        if size != seen:  # one stat when nothing was appended
+        # one stat when nothing was appended; a torn tail (offset != seen)
+        # cut and replaced by lines of equal length now ends in a newline
+        if size != seen or offset != seen and _ends_line(path, size):
             offset, rows = read_records(path, offset)
             yield from rows
             self._follow[path] = (offset, size)

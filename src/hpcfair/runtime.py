@@ -17,7 +17,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ._canonical import dumps_canonical, loads_canonical
+from ._canonical import LIST, check, dumps_canonical, loads_canonical
 from .config import TaskConfig, as_list
 from .errors import (
     ConfigError,
@@ -90,12 +90,8 @@ def serialize_tensor_set(ts: NamedTensorSet) -> bytes:
 
 
 def parse_tensor_set(data: bytes | str) -> NamedTensorSet:
-    try:
-        doc = loads_canonical(data)
-    except ValueError as exc:
-        raise MalformedDocumentError(f"invalid tensor document: {exc}")
-    if not isinstance(doc, list):
-        raise MalformedDocumentError("tensor document must be an array")
+    doc = loads_canonical(data, "tensor document", MalformedDocumentError)
+    check(doc, LIST, "tensor document", MalformedDocumentError)
     return NamedTensorSet.from_tensors(
         [_parse_tensor(entry, with_data=True, where="tensor set")
          for entry in doc])

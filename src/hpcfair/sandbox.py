@@ -39,15 +39,14 @@ from typing import Mapping
 
 import yaml
 
-from ._canonical import append_records, dumps_canonical
+from ._canonical import NAME, OBJECT, STR, Kind, append_records, check, \
+    dumps_canonical, fields
 from .config import TaskConfig, as_list
 from .errors import ConfigError, MalformedDocumentError, SandboxError, \
     UnknownBackendError
 
 logger = logging.getLogger(__name__)
 
-_MANIFEST_KEYS = ("build_tag", "entrypoint", "env", "inputs", "outputs",
-                  "volume")
 _BASELINE_ENV = ("PATH", "LC_ALL")
 _CHUNK_BYTES = 1 << 20
 
@@ -104,11 +103,17 @@ class RunRecord:
         }
 
 
+_COMMAND = Kind("a non-empty command string", "",
+                lambda v: STR.test(v) and v.split() != [])
+_ABSOLUTE = Kind("an absolute path", "",
+                 lambda v: STR.test(v) and PurePosixPath(v).is_absolute())
+_ENV = Kind("a mapping of strings to strings", "",
+            lambda v: OBJECT.test(v) and all(map(STR.test, [*v, *v.values()])))
+
+
 def _check_rel_path(raw: object, where: str) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise MalformedDocumentError(
-            f"{where}: paths must be non-empty strings")
-    path = PurePosixPath(raw)
+    path = PurePosixPath(check(raw, NAME, f"manifest: a path in '{where}'",
+                               MalformedDocumentError))
     if path.is_absolute():
         raise MalformedDocumentError(
             f"{where}: '{raw}' must be relative")
@@ -120,48 +125,21 @@ def _check_rel_path(raw: object, where: str) -> str:
 
 def parse_manifest(data: bytes | str) -> SandboxManifest:
     """Parse and validate a build file."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = yaml.safe_load(data)
-    except (yaml.YAMLError, RecursionError) as exc:
+        doc = yaml.safe_load(data.decode("utf-8") if isinstance(data, bytes)
+                             else data)
+    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
         raise MalformedDocumentError(f"malformed manifest: {exc}")
-    if not isinstance(doc, dict):
-        raise MalformedDocumentError("manifest must be a mapping")
-    unknown = set(doc) - set(_MANIFEST_KEYS)
-    if unknown:
-        raise MalformedDocumentError(
-            f"unknown manifest keys {sorted(unknown)}")
-
-    build_tag = doc.get("build_tag")
-    if not isinstance(build_tag, str) or not build_tag:
-        raise MalformedDocumentError(
-            "manifest 'build_tag' must be a non-empty string")
-    entrypoint = doc.get("entrypoint")
-    if not isinstance(entrypoint, str) or not entrypoint.split():
-        raise MalformedDocumentError(
-            "manifest 'entrypoint' must be a non-empty command string")
-
-    env_raw = doc.get("env", {}) or {}
-    if not isinstance(env_raw, dict) or \
-            not all(isinstance(k, str) and isinstance(v, str)
-                    for k, v in env_raw.items()):
-        raise MalformedDocumentError(
-            "manifest 'env' must map strings to strings")
-
-    inputs = tuple(_check_rel_path(p, "inputs")
-                   for p in as_list(doc.get("inputs")))
-    outputs = tuple(_check_rel_path(p, "outputs")
-                    for p in as_list(doc.get("outputs")))
-
-    volume = doc.get("volume")
-    if not isinstance(volume, str) or \
-            not PurePosixPath(volume).is_absolute():
-        raise MalformedDocumentError(
-            "manifest 'volume' must be an absolute path string")
-
-    return SandboxManifest(build_tag, entrypoint, dict(env_raw), inputs,
-                           outputs, volume)
+    build_tag, entrypoint, volume, env, inputs, outputs = fields(
+        doc, "manifest", MalformedDocumentError,
+        {"build_tag": NAME, "entrypoint": _COMMAND, "volume": _ABSOLUTE},
+        {"env": (None, {}), "inputs": (None, None), "outputs": (None, None)})
+    env = check(env or {}, _ENV, "manifest: 'env'", MalformedDocumentError)
+    return SandboxManifest(
+        build_tag, entrypoint, dict(env),
+        tuple(_check_rel_path(p, "inputs") for p in as_list(inputs)),
+        tuple(_check_rel_path(p, "outputs") for p in as_list(outputs)),
+        volume)
 
 
 # ---------------------------------------------------------------------------

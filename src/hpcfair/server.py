@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from ._canonical import dumps_canonical, loads_canonical
+from ._canonical import OBJECT, check, dumps_canonical, loads_canonical
 from .config import parse_config, validate_config
 from .errors import AuthError, HpcfairError, InvalidArtifactError, \
     MalformedDocumentError, UnknownTaskError
@@ -265,10 +265,7 @@ def _split_upload(body: bytes) -> tuple[dict, bytes]:
     if newline < 0:
         raise InvalidArtifactError(
             "upload body must be a metadata line, a newline, then content")
-    try:
-        meta = loads_canonical(body[:newline])
-    except ValueError as exc:
-        raise InvalidArtifactError(f"metadata line is not valid JSON: {exc}")
-    if not isinstance(meta, dict):
-        raise InvalidArtifactError("metadata must be a JSON object")
+    meta = loads_canonical(body[:newline], "metadata line",
+                           InvalidArtifactError)
+    check(meta, OBJECT, "metadata", InvalidArtifactError)
     return meta, body[newline + 1:]

@@ -95,6 +95,40 @@ class TestParse:
         assert any("unknown section 'scheduler_args'" in w
                    for w in cfg.warnings)
 
+    def test_scalar_and_list_sections_land_in_extras(self):
+        cfg = parse_config(MINIMAL_INFERENCE + "queue: fast\nnodes: [1, 2]\n")
+        assert cfg.extras["queue"] == "fast"
+        assert cfg.extras["nodes"] == [1, 2]
+        serialize_config(cfg)
+
+    @pytest.mark.parametrize("extra", [
+        "when: 2020-01-01\n",
+        "a: {1: x}\nb: {y: 2}\n",
+        "1: x\n",
+        "a: {b: {c: 1}}\n",
+        "a: [[1]]\n",
+        "a: !!binary aGk=\n",
+        "a: .nan\n",
+        "a: [.inf]\n",
+        'a: "\\ud800"\n',
+    ], ids=["date", "mixed-keys", "int-section", "nested", "nested-list",
+            "binary", "nan", "inf", "surrogate"])
+    def test_section_outside_the_value_rule_is_rejected(self, extra):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_INFERENCE + extra)
+        assert err.value.code == "invalid_config"
+
+    @pytest.mark.parametrize("value", ["2020-01-01", ".nan", "{1: x}"])
+    def test_known_section_values_must_serialize(self, value):
+        text = MINIMAL_INFERENCE.replace('input: "in.txt"',
+                                         f"input: {value}")
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+    def test_bytes_that_are_not_utf8_are_invalid(self):
+        with pytest.raises(ConfigError):
+            parse_config(b"general_args:\n  task: \xff\n")
+
     def test_defaults(self):
         cfg = parse_config(MINIMAL_INFERENCE)
         assert cfg.device.gpu_mapping_file is None

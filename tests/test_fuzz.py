@@ -1,0 +1,197 @@
+"""Every document parser returns or raises a typed HpcfairError.
+
+Inputs are random JSON and YAML values, and valid documents with one
+field at any depth replaced, deleted or added.  A parser that lets any
+other exception escape reports it to a remote caller as internal_error.
+"""
+
+import json
+
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from hpcfair.config import parse_config, serialize_config, validate_config
+from hpcfair.converters import parse_layerdag, parse_sequential
+from hpcfair.errors import HpcfairError
+from hpcfair.interchange import parse_graph
+from hpcfair.registry import ArtifactDraft
+from hpcfair.runtime import parse_tensor_set
+from hpcfair.sandbox import parse_manifest
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+# what YAML adds to JSON: dates, binary and keys that are not strings
+YAML_KEYS = st.text(max_size=8) | st.integers() | st.booleans() | st.none()
+YAML_VALUES = st.recursive(
+    SCALARS | st.dates() | st.datetimes() | st.binary(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(YAML_KEYS, inner, max_size=3),
+    max_leaves=8)
+
+GRAPH = {
+    "name": "g", "ir_version": 1,
+    "inputs": [{"name": "x", "dtype": "f32", "shape": [1, 2]}],
+    "outputs": [{"name": "y", "dtype": "f32", "shape": [2, 2]}],
+    "initializers": [{"name": "w", "dtype": "f32", "shape": [2, 2],
+                      "data": [1.0, 0.0, 0.0, 1.0]}],
+    "nodes": [
+        {"id": "mm", "op_type": "MatMul", "inputs": ["x", "w"],
+         "outputs": ["h"], "attributes": {}},
+        {"id": "sm", "op_type": "Softmax", "inputs": ["h"],
+         "outputs": ["s"], "attributes": {"axis": 1}},
+        {"id": "cat", "op_type": "Concat", "inputs": ["h", "s"],
+         "outputs": ["c"], "attributes": {"axis": 0}},
+        {"id": "rs", "op_type": "Reshape", "inputs": ["c"],
+         "outputs": ["y"], "attributes": {"target_shape": [2, 2]}},
+    ],
+    "doc": "fuzz seed",
+}
+TENSORS = [{"name": "x", "dtype": "f32", "shape": [1, 2], "data": [1, 2.5]},
+           {"name": "n", "dtype": "i64", "shape": [], "data": [3]}]
+SEQUENTIAL = {"format_tag": "pt-ckpt-v1", "layers": [
+    {"kind": "linear", "weight": [[1, 0], [0, 1]], "bias": [0, 1]},
+    {"kind": "relu"}, {"kind": "softmax", "axis": 1}]}
+LAYERDAG = {
+    "format_tag": "tf-ckpt-v1",
+    "inputs": [{"name": "x", "shape": [1, 2]}],
+    "nodes": {
+        "d": {"op": "dense", "inbound": ["x"],
+              "params": {"kernel": [[1, 0], [0, 1]], "bias": [0, 1]}},
+        "s": {"op": "softmax", "inbound": ["d"], "attrs": {"axis": 1}},
+        "c": {"op": "concat", "inbound": ["d", "s"], "attrs": {"axis": 1}},
+    },
+    "outputs": ["c"],
+}
+MANIFEST = {"build_tag": "m:1", "entrypoint": "python run.py --seed 1",
+            "env": {"MODE": "fast"}, "inputs": ["data/in.txt"],
+            "outputs": ["out/result.txt"], "volume": "/app"}
+CONFIG = {
+    "general_args": {"task": "conversion", "backend": ["pt", "tf"]},
+    "device_args": {"worker_num": 2, "device": "cpu"},
+    "model_args": {"model_name": ["a", "b"], "model_file": ["a.ckpt", "b"],
+                   "onnx_version": 3},
+    "out_args": {"export_file": ["a.onnx", "b.onnx"]},
+}
+DRAFT = {"title": "T", "artifact_type": "model", "backend_tag": "pt",
+         "tags": ["nlp"], "version": 2, "license": "mit",
+         "provenance": [{"parent_pid": "hpcf-1",
+                         "operation": "derived-from"}]}
+
+
+def containers(doc, path=()):
+    """Paths of every list and object in ``doc``, the root included."""
+    if isinstance(doc, (dict, list)):
+        yield path
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from containers(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, seed, values, keys=st.text(max_size=8)):
+    """``seed`` with one child of one container replaced, deleted or
+    added; new values are drawn from ``values`` and new keys from
+    ``keys``."""
+    doc = json.loads(json.dumps(seed))
+    path = draw(st.sampled_from(list(containers(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    children = list(node) if isinstance(node, dict) else \
+        list(range(len(node)))
+    action = draw(st.sampled_from(["replace", "delete", "add"]
+                                  if children else ["add"]))
+    if action == "add":
+        if isinstance(node, dict):
+            node[draw(keys)] = draw(values)
+        else:
+            node.append(draw(values))
+    elif action == "delete":
+        del node[draw(st.sampled_from(children))]
+    else:
+        node[draw(st.sampled_from(children))] = draw(values)
+    return doc
+
+
+def typed(call, *args):
+    """The call's result, or None for a typed error; any other escapes."""
+    try:
+        return call(*args)
+    except HpcfairError:
+        return None
+
+
+def json_inputs(seed):
+    return st.one_of(
+        st.builds(json.dumps, JSON_VALUES),
+        st.builds(json.dumps, mutated(seed, JSON_VALUES)),
+        st.binary(max_size=40))
+
+
+def yaml_inputs(seed):
+    return st.one_of(
+        st.builds(yaml.safe_dump, YAML_VALUES),
+        st.builds(yaml.safe_dump, mutated(seed, YAML_VALUES, YAML_KEYS)),
+        st.text(max_size=40), st.binary(max_size=40))
+
+
+@FUZZ
+@given(json_inputs(GRAPH))
+def test_parse_graph_raises_only_typed_errors(data):
+    typed(parse_graph, data)
+
+
+@FUZZ
+@given(json_inputs(TENSORS))
+def test_parse_tensor_set_raises_only_typed_errors(data):
+    typed(parse_tensor_set, data)
+
+
+@FUZZ
+@given(json_inputs(SEQUENTIAL))
+def test_parse_sequential_raises_only_typed_errors(data):
+    typed(parse_sequential, data)
+
+
+@FUZZ
+@given(json_inputs(LAYERDAG))
+def test_parse_layerdag_raises_only_typed_errors(data):
+    typed(parse_layerdag, data)
+
+
+@FUZZ
+@given(yaml_inputs(MANIFEST))
+def test_parse_manifest_raises_only_typed_errors(data):
+    typed(parse_manifest, data)
+
+
+@FUZZ
+@given(yaml_inputs(CONFIG))
+def test_parsed_configs_validate_and_serialize(data):
+    cfg = typed(parse_config, data)
+    if cfg is not None:
+        validate_config(cfg)
+        assert serialize_config(cfg) == serialize_config(cfg)
+
+
+@FUZZ
+@given(JSON_VALUES | mutated(DRAFT, JSON_VALUES))
+def test_artifact_metadata_raises_only_typed_errors(doc):
+    typed(ArtifactDraft.from_dict, doc)
+
+
+def test_seeds_are_valid_documents():
+    assert parse_graph(json.dumps(GRAPH)).name == "g"
+    assert parse_tensor_set(json.dumps(TENSORS)).names() == ["n", "x"]
+    assert len(parse_sequential(json.dumps(SEQUENTIAL)).layers) == 3
+    assert list(parse_layerdag(json.dumps(LAYERDAG)).nodes) == ["d", "s",
+                                                                  "c"]
+    assert parse_manifest(yaml.safe_dump(MANIFEST)).volume == "/app"
+    assert validate_config(parse_config(yaml.safe_dump(CONFIG))).ok
+    assert ArtifactDraft.from_dict(DRAFT).version == 2

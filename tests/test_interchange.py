@@ -275,6 +275,19 @@ class TestSerialization:
         with pytest.raises(UnknownOperatorError, match="Conv"):
             parse_graph(json.dumps(doc))
 
+    def test_unhashable_op_type_is_malformed(self):
+        doc = json.loads(serialize_graph(identity_graph()))
+        doc["nodes"][0]["op_type"] = [1]
+        with pytest.raises(MalformedDocumentError, match="'op_type'") as err:
+            parse_graph(json.dumps(doc))
+        assert err.value.code == "malformed_document"
+
+    def test_numeric_op_type_is_an_unknown_operator(self):
+        doc = json.loads(serialize_graph(identity_graph()))
+        doc["nodes"][0]["op_type"] = 5
+        with pytest.raises(UnknownOperatorError, match="'5'"):
+            parse_graph(json.dumps(doc))
+
     def test_missing_ir_version_rejected(self):
         doc = json.loads(serialize_graph(identity_graph()))
         del doc["ir_version"]

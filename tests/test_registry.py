@@ -362,6 +362,23 @@ class TestTornLogs:
                 [kept[0].pid, new[0].pid]
         assert "meta.log ends in a torn line" in caplog.text
 
+    def test_push_over_a_torn_tail_of_equal_length_is_seen(self, tmp_path):
+        def push(store):
+            cred = store.issue_token("alice", "publisher", 3600)
+            [record] = store.register_artifact(b"late", draft(
+                "Late", artifact_type="dataset", backend="csv"), cred)
+            return record
+
+        probe = Registry(tmp_path / "probe")
+        push(probe)
+        line = probe.meta_log.stat().st_size
+        root = tmp_path / "r"
+        Registry(root).meta_log.write_bytes(b"x" * line)  # a torn tail
+        reader = Registry(root)  # reads up to the torn tail
+        record = push(Registry(root))  # cuts it, appends as many bytes
+        assert reader.meta_log.stat().st_size == line
+        assert reader.fetch_metadata(record.pid) == record
+
     def test_tokens_cut_at_every_offset(self, tmp_path):
         root = tmp_path / "r"
         first = Registry(root)

@@ -78,6 +78,16 @@ class TestParseManifest:
         with pytest.raises(MalformedDocumentError, match="gpu_count"):
             parse_manifest(MANIFEST + "gpu_count: 2\n")
 
+    def test_keys_of_mixed_types_are_named(self):
+        with pytest.raises(MalformedDocumentError,
+                           match=r"unknown keys \['1', 'x'\]") as err:
+            parse_manifest("1: a\nx: b\n")
+        assert err.value.code == "malformed_document"
+
+    def test_bytes_that_are_not_utf8_are_malformed(self):
+        with pytest.raises(MalformedDocumentError):
+            parse_manifest(b"build_tag: \xff\n")
+
 
 # ---------------------------------------------------------------------------
 # images

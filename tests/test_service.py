@@ -184,6 +184,17 @@ class TestTaskEndpoints:
         assert result["outputs"] == [str(ws.root / "out.txt")]
         assert (ws.root / "out.txt").exists()
 
+    def test_config_with_a_date_section_is_400(self, server, publisher):
+        cfg = (b"general_args:\n  task: inference\n  backend: onnx\n"
+               b"task_args:\n  model_file: m.onnx\n  input: in.txt\n"
+               b"out_args:\n  export_file: o.txt\n"
+               b"when: 2020-01-01\n")
+        r = requests.post(
+            f"{server.address}/v1/tasks", data=cfg,
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 400
+        assert r.json()["error"]["code"] == "invalid_config"
+
     def test_invalid_config_is_400_with_violations(self, server, publisher):
         bad = (b"general_args:\n  task: \"inference\"\n"
                b"  backend: \"onnx\"\n"
