@@ -111,7 +111,7 @@ class ModelAPI:
         loaded = self._load(config_path, expect="inference")
         if loaded[0].general.tag != "collaboration":
             raise ConfigError(
-                "collaborate requires general_args.tag 'collaboration', "
+                "collaborate is for configs with general_args.tag 'collaboration', "
                 f"got {loaded[0].general.tag!r}")
         return self._submit(loaded)
 

@@ -12,7 +12,7 @@ comparison; keys must be strings and values scalars or flat lists.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -23,7 +23,6 @@ from .errors import ConfigError, ValidationReport
 
 logger = logging.getLogger(__name__)
 
-TASKS = ("conversion", "inference", "container")
 DEVICES = ("cpu", "gpu")
 
 Scalar = str | int | float | bool | None
@@ -79,6 +78,36 @@ def as_list(value: Any) -> list[Any]:
 def is_path(value: Any) -> bool:
     """Whether a config value can name a file: a string without NUL."""
     return isinstance(value, str) and "\0" not in value
+
+
+def _one_or_more(kind: Kind) -> Kind:
+    many = kind.list(nonempty=True)
+    return Kind(f"{kind.noun} or {many.noun}",
+                f"{kind.plural} or {many.plural}",
+                lambda v: kind.test(v) or many.test(v))
+
+
+_PATH = Kind("a path", "paths", is_path)
+# "" names the config's own directory, never a file to read or write
+_FILE = Kind("a non-empty path", "non-empty paths",
+             lambda v: is_path(v) and v != "")
+_VERSION = (POSITIVE, False)
+
+# Each task's contract: its task_args keys as key -> (kind, required), where
+# a kind of None takes any value and an optional key may be null, and how
+# many out_args.export_file entries it writes (None: one per model_file,
+# checked with the other aligned lengths in validate_config).
+TASK_ARGS = {
+    "conversion": ({"model_name": (_one_or_more(STR), True),
+                    "model_file": (_one_or_more(_PATH), True),
+                    "onnx_version": _VERSION}, None),
+    "inference": ({"model_file": (_one_or_more(_PATH), True),
+                   "input": (_FILE, True), "onnx_version": _VERSION}, 1),
+    "container": ({"work_dir": (_PATH, True), "build_file": (_PATH, True),
+                   "build_tag": (None, True), "volume": (None, True),
+                   "onnx_version": _VERSION}, 1),
+}
+TASKS = tuple(TASK_ARGS)
 
 
 _GENERAL_KEYS = ("task", "tag", "backend")
@@ -159,20 +188,9 @@ def parse_config(text: bytes | str, *,
     for message in warnings:
         logger.warning("%s", message)
 
-    general = GeneralArgs(
-        task=general_known["task"],
-        tag=general_known.get("tag"),
-        backend=general_known.get("backend"),
-    )
-    device = DeviceArgs(
-        worker_num=device_known.get("worker_num", 1),
-        device=device_known.get("device", "cpu"),
-        gpu_mapping_file=device_known.get("gpu_mapping_file"),
-        gpu_mapping_key=device_known.get("gpu_mapping_key"),
-    )
     cfg = TaskConfig(
-        general=general,
-        device=device,
+        general=GeneralArgs(**general_known),
+        device=DeviceArgs(**device_known),
         task_args=dict(task_raw),
         task_section=task_section,
         out=dict(out_raw),
@@ -196,17 +214,8 @@ def load_config(path: str | Path) -> TaskConfig:
 def serialize_config(cfg: TaskConfig) -> bytes:
     """Canonical bytes: fixed section and key order, values verbatim."""
     doc = {
-        "general": {
-            "task": cfg.general.task,
-            "tag": cfg.general.tag,
-            "backend": cfg.general.backend,
-        },
-        "device": {
-            "worker_num": cfg.device.worker_num,
-            "device": cfg.device.device,
-            "gpu_mapping_file": cfg.device.gpu_mapping_file,
-            "gpu_mapping_key": cfg.device.gpu_mapping_key,
-        },
+        "general": asdict(cfg.general),  # in field order
+        "device": asdict(cfg.device),
         "task_args": {k: cfg.task_args[k] for k in sorted(cfg.task_args)},
         "task_section": cfg.task_section,
         "out": {k: cfg.out[k] for k in sorted(cfg.out)},
@@ -216,11 +225,13 @@ def serialize_config(cfg: TaskConfig) -> bytes:
 
 
 def validate_config(cfg: TaskConfig) -> ValidationReport:
-    """Dispatchability check: required keys, enums, aligned lengths."""
+    """Dispatchability check: enums, the task's declared keys and their
+    kinds (``TASK_ARGS``), its export count and aligned lengths.  Every
+    task is checked here before it runs; its executor does not re-check."""
     v: list[str] = []
     task = cfg.general.task
 
-    if task not in TASKS:
+    if task not in TASKS:  # a tuple test: a list-valued task is unhashable
         v.append(f"general_args.task must be one of {list(TASKS)}, "
                  f"got {task!r}")
     wn = cfg.device.worker_num
@@ -231,25 +242,31 @@ def validate_config(cfg: TaskConfig) -> ValidationReport:
                  f"got {cfg.device.device!r}")
     if cfg.task_section is None:
         v.append("config has no 'task_args'/'model_args' section")
+    exports = cfg.export_files
     if "export_file" not in cfg.out:
         v.append("out_args.export_file is required")
-    elif not all(is_path(p) for p in cfg.export_files):
+    elif not all(_FILE.test(p) for p in exports):
         v.append("out_args.export_file must be a path or a list of paths")
 
-    def require(keys: tuple[str, ...]) -> None:
-        section = cfg.task_section or "task_args"
-        for key in keys:
-            if key not in cfg.task_args:
+    keys, count = TASK_ARGS[task] if task in TASKS else ({}, None)
+    section = cfg.task_section or "task_args"
+    for key, (kind, required) in keys.items():
+        value = cfg.task_args.get(key)
+        if key not in cfg.task_args:
+            if required:
                 v.append(f"{task} requires {section}.{key}")
+        elif kind is not None and not kind.test(value) and \
+                (required or value is not None):
+            v.append(f"{task}: {section}.{key} must be {kind.noun}")
+    if count is not None and len(exports) != count:
+        v.append(f"{task} writes {count} out_args.export_file, "
+                 f"got {len(exports)}")
 
     if task == "conversion":
-        require(("model_name", "model_file"))
         names = as_list(cfg.task_args.get("model_name"))
-        files = as_list(cfg.task_args.get("model_file"))
-        exports = cfg.export_files
         backends = as_list(cfg.general.backend)
-        lengths = {"model_name": len(names), "model_file": len(files),
-                   "export_file": len(exports)}
+        lengths = {"model_name": len(names), "export_file": len(exports),
+                   "model_file": len(as_list(cfg.task_args.get("model_file")))}
         # a single backend string fans out over all items
         if len(backends) > 1:
             lengths["backend"] = len(backends)
@@ -259,13 +276,5 @@ def validate_config(cfg: TaskConfig) -> ValidationReport:
                      ", ".join(f"{k}={n}" for k, n in sorted(lengths.items())))
         if not backends:
             v.append("conversion requires general_args.backend")
-    elif task == "inference":
-        require(("model_file", "input"))
-    elif task == "container":
-        require(("work_dir", "build_file", "build_tag", "volume"))
-
-    ver = cfg.task_args.get("onnx_version")
-    if ver is not None and not POSITIVE.test(ver):
-        v.append(f"onnx_version must be an integer >= 1, got {ver!r}")
 
     return ValidationReport.from_violations(v)

@@ -380,25 +380,15 @@ def run_conversion_task(cfg: TaskConfig) -> list[Path]:
     Items are converted in order, all in memory before any export file is
     written, so a bad checkpoint never leaves partial output behind.
     ``device_args.worker_num`` is not consulted: conversion is pure Python,
-    and threads would not make it faster.
+    and threads would not make it faster.  ``cfg`` has passed
+    ``validate_config``, so its lists are aligned.
     """
-    if cfg.general.task != "conversion":
-        raise ConfigError(
-            f"conversion task got config for task {cfg.general.task!r}")
-    names = as_list(cfg.task_args.get("model_name"))
-    files = as_list(cfg.task_args.get("model_file"))
+    names = as_list(cfg.task_args["model_name"])
+    files = as_list(cfg.task_args["model_file"])
     exports = cfg.export_files
     backends = as_list(cfg.general.backend)
-    if not backends:
-        raise ConfigError("conversion requires general_args.backend")
     if len(backends) == 1:
         backends = backends * len(files)
-    lengths = {len(names), len(files), len(exports), len(backends)}
-    if len(lengths) != 1:
-        raise ConfigError(
-            "conversion requires equal-length model_name/model_file/"
-            f"export_file/backend sequences, got {len(names)}/{len(files)}/"
-            f"{len(exports)}/{len(backends)}")
     if len(set(exports)) != len(exports):
         raise ConfigError("conversion export_file entries must be distinct")
     for backend in backends:

@@ -26,6 +26,7 @@ from ._canonical import DIM, INT, LIST, NAME, OBJECT, POSITIVE, STR, Kind, \
 from .errors import (
     CompositionError,
     CycleError,
+    InvalidGraphError,
     MalformedDocumentError,
     ShapeMismatchError,
     UnknownOperatorError,
@@ -185,10 +186,7 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
             if len(node.outputs) != spec.n_outputs:
                 v.append(f"node '{node.id}' ({node.op_type}) expects "
                          f"{spec.n_outputs} outputs, has {len(node.outputs)}")
-            for attr in spec.required_attrs:
-                if attr not in node.attributes:
-                    v.append(f"node '{node.id}' ({node.op_type}) is missing "
-                             f"required attribute '{attr}'")
+            v.extend(_missing_attributes(node, spec))
         for key, value in node.attributes.items():
             if not _ATTR.test(value):
                 v.append(f"node '{node.id}' attribute '{key}' must be an "
@@ -406,10 +404,20 @@ def op_spec(node: GraphNode) -> OpSpec:
 # shape inference
 
 
+def _missing_attributes(node: GraphNode, spec: OpSpec) -> list[str]:
+    return [f"node '{node.id}' ({node.op_type}) is missing required "
+            f"attribute '{attr}'" for attr in spec.required_attrs
+            if attr not in node.attributes]
+
+
 def node_output_shapes(node: GraphNode,
                        input_shapes: Sequence[Shape]) -> list[Shape]:
-    """The op's shape rule; raises ShapeMismatchError naming the node."""
+    """The op's shape rule; raises ShapeMismatchError naming the node, or
+    InvalidGraphError for a missing required attribute."""
     spec = op_spec(node)
+    missing = _missing_attributes(node, spec)
+    if missing:
+        raise InvalidGraphError(missing[0])
     try:
         return [spec.shape_rule(node.attributes, input_shapes)]
     except _Expected as exc:
@@ -447,7 +455,12 @@ def infer_shapes(g: InterchangeGraph,
     by_id = {node.id: node for node in g.nodes}
     for node_id in _topo_order(g):
         node = by_id[node_id]
-        ins = [shapes[name] for name in node.inputs]
+        try:
+            ins = [shapes[name] for name in node.inputs]
+        except KeyError as exc:  # the wording of validate_graph
+            raise InvalidGraphError(
+                f"node '{node.id}' consumes tensor '{exc.args[0]}' which is "
+                "produced nowhere in the graph") from None
         outs = node_output_shapes(node, ins)
         for name, shape in zip(node.outputs, outs):
             shapes[name] = shape

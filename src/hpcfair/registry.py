@@ -255,10 +255,14 @@ class Registry:
                               f"got {role!r}")
         if not account:
             raise ConfigError("account must be non-empty")
+        try:
+            expires_at = datetime.now(timezone.utc) + \
+                timedelta(seconds=ttl_seconds)
+        except OverflowError:
+            raise ConfigError(f"ttl {ttl_seconds} s is out of range") \
+                from None
         token = secrets.token_hex(32)  # hex: never begins with "-"
         salt = secrets.token_hex(8)
-        expires_at = datetime.now(timezone.utc) + \
-            timedelta(seconds=ttl_seconds)
         row = {
             "token_hash": self._hash_token(salt, token),
             "salt": salt,

@@ -222,11 +222,8 @@ def run_inference_task(cfg: TaskConfig, store: Any = None) -> Path:
 
     With ``tag: "collaboration"`` exactly two models are composed in listed
     order (first feeds second); model references may be registry pids when a
-    store is supplied.
+    store is supplied.  ``cfg`` has passed ``validate_config``.
     """
-    if cfg.general.task != "inference":
-        raise ConfigError(
-            f"inference task got config for task {cfg.general.task!r}")
     backend = cfg.general.backend
     if backend != "onnx":
         raise UnknownBackendError(
@@ -235,10 +232,8 @@ def run_inference_task(cfg: TaskConfig, store: Any = None) -> Path:
         logger.warning("executing on cpu (gpu unavailable in reference "
                        "runtime)")
 
-    files = as_list(cfg.task_args.get("model_file"))
-    if not files:
-        raise ConfigError("inference requires task_args.model_file")
-    graphs = [_load_model(cfg, ref, store) for ref in files]
+    graphs = [_load_model(cfg, ref, store)
+              for ref in as_list(cfg.task_args["model_file"])]
 
     if cfg.general.tag == "collaboration":
         if len(graphs) != 2:
@@ -255,9 +250,7 @@ def run_inference_task(cfg: TaskConfig, store: Any = None) -> Path:
         raise ConfigError(
             "multiple model files require general_args.tag 'collaboration'")
 
-    input_ref = cfg.task_args.get("input")
-    if not input_ref:
-        raise ConfigError("inference requires task_args.input")
+    input_ref = cfg.task_args["input"]
     input_path = cfg.resolve(input_ref)
     if not input_path.is_file():
         raise ExecutionError(f"input file not found: {input_ref}")
@@ -265,12 +258,7 @@ def run_inference_task(cfg: TaskConfig, store: Any = None) -> Path:
 
     outputs = execute(graph, _bind_inputs(graph, tensor_set))
 
-    exports = cfg.export_files
-    if len(exports) != 1:
-        raise ConfigError(
-            f"inference requires a single out_args.export_file, "
-            f"got {len(exports)}")
-    out_path = cfg.resolve(exports[0])
+    out_path = cfg.resolve(cfg.export_files[0])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(serialize_tensor_set(outputs))
     logger.info("inference output written: %s", out_path)

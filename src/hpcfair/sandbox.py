@@ -42,7 +42,7 @@ import yaml
 from ._canonical import NAME, OBJECT, STR, Kind, append_records, check, \
     dumps_canonical, fields
 from .config import TaskConfig, as_list
-from .errors import ConfigError, MalformedDocumentError, SandboxError, \
+from .errors import MalformedDocumentError, SandboxError, \
     UnknownBackendError
 
 logger = logging.getLogger(__name__)
@@ -134,7 +134,8 @@ def parse_manifest(data: bytes | str) -> SandboxManifest:
         doc, "manifest", MalformedDocumentError,
         {"build_tag": NAME, "entrypoint": _COMMAND, "volume": _ABSOLUTE},
         {"env": (None, {}), "inputs": (None, None), "outputs": (None, None)})
-    env = check(env or {}, _ENV, "manifest: 'env'", MalformedDocumentError)
+    env = check({} if env is None else env, _ENV, "manifest: 'env'",
+                MalformedDocumentError)
     return SandboxManifest(
         build_tag, entrypoint, dict(env),
         tuple(_check_rel_path(p, "inputs") for p in as_list(inputs)),
@@ -294,18 +295,13 @@ def run_container_task(cfg: TaskConfig,
     """Parse manifest, build, run, export: the `task: "container"` flow.
 
     Returns the written export path and the run record; stage failures raise
-    with the stage name in the message.
+    with the stage name in the message.  ``cfg`` has passed
+    ``validate_config``.
     """
-    if cfg.general.task != "container":
-        raise ConfigError(
-            f"container task got config for task {cfg.general.task!r}")
     if cfg.general.backend != "mlcube":
         raise UnknownBackendError(
             f"container supports backend 'mlcube', got "
             f"{cfg.general.backend!r}")
-    for key in ("work_dir", "build_file", "build_tag", "volume"):
-        if key not in cfg.task_args:
-            raise ConfigError(f"container requires task_args.{key}")
 
     store = store_root if store_root is not None else cfg.resolve("store")
 
@@ -351,12 +347,7 @@ def run_container_task(cfg: TaskConfig,
         if not manifest.declared_outputs:
             raise SandboxError(
                 "run_container: manifest declares no outputs to export")
-        exports = cfg.export_files
-        if len(exports) != 1:
-            raise ConfigError(
-                f"container requires a single out_args.export_file, "
-                f"got {len(exports)}")
-        export = cfg.resolve(exports[0])
+        export = cfg.resolve(cfg.export_files[0])
         export.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(workspace / manifest.declared_outputs[0], export)
     finally:

@@ -181,6 +181,16 @@ class TestCli:
         assert code == 0
         return capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize("ttl", ["100000000000000", "-100000000000000"])
+    def test_token_ttl_out_of_range_exits_1(self, tmp_path, capsys, ttl):
+        self.issue_token(tmp_path, capsys)
+        tokens = (tmp_path / "store" / "tokens").read_bytes()
+        code = main(["--store", str(tmp_path / "store"), "token", "issue",
+                     "--role", "reader", "--account", "bob", "--ttl", ttl])
+        assert code == 1
+        assert "error: invalid_config:" in capsys.readouterr().err
+        assert (tmp_path / "store" / "tokens").read_bytes() == tokens
+
     def test_run_prints_both_export_paths(self, demo_workspace, capsys):
         code = main(["run", "--config",
                      str(demo_workspace.root / "conversion.yaml")])

@@ -173,6 +173,39 @@ class TestValidate:
         assert not report.ok
         assert any("model_name" in v for v in report.violations)
 
+    @pytest.mark.parametrize("key, value, noun", [
+        ("model_file", 5, "a path or a non-empty list of paths"),
+        ("model_file", ["m.onnx", 5], "a path or a non-empty list of paths"),
+        ("model_file", "a\0b", "a path or a non-empty list of paths"),
+        ("input", "", "a non-empty path"),
+        ("input", [5], "a non-empty path"),
+        ("onnx_version", "10", "a positive integer"),
+    ])
+    def test_task_argument_of_the_wrong_kind_is_reported(self, key, value,
+                                                         noun):
+        cfg = parse_config(MINIMAL_INFERENCE)
+        cfg.task_args[key] = value
+        assert validate_config(cfg).violations == (
+            f"inference: task_args.{key} must be {noun}",)
+
+    def test_null_optional_argument_is_left_to_the_task(self):
+        cfg = parse_config(MINIMAL_INFERENCE)
+        cfg.task_args["onnx_version"] = None
+        assert validate_config(cfg).ok
+
+    def test_export_count_is_reported(self):
+        cfg = parse_config(MINIMAL_INFERENCE)
+        cfg.out["export_file"] = ["a.txt", "b.txt"]
+        assert validate_config(cfg).violations == (
+            "inference writes 1 out_args.export_file, got 2",)
+
+    def test_list_valued_task_is_reported(self):
+        text = MINIMAL_INFERENCE.replace('task: "inference"',
+                                         "task: [conversion, inference]")
+        report = validate_config(parse_config(text))
+        assert report.violations[0].startswith(
+            "general_args.task must be one of")
+
     def test_fixture_configs_are_valid(self):
         for name in ("conversion.yaml", "collaboration.yaml",
                      "container.yaml"):

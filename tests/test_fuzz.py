@@ -3,20 +3,28 @@
 Inputs are random JSON and YAML values, and valid documents with one
 field at any depth replaced, deleted or added.  A parser that lets any
 other exception escape reports it to a remote caller as internal_error.
+Task configs go further: every declared task argument may be of the wrong
+kind, and the task they describe must still fail with a typed error.
 """
 
 import json
 
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hpcfair.config import parse_config, serialize_config, validate_config
+from hpcfair.config import load_config, parse_config, serialize_config, \
+    validate_config
 from hpcfair.converters import parse_layerdag, parse_sequential
 from hpcfair.errors import HpcfairError
 from hpcfair.interchange import parse_graph
 from hpcfair.registry import ArtifactDraft
 from hpcfair.runtime import parse_tensor_set
 from hpcfair.sandbox import parse_manifest
+from hpcfair.server import _parse_search
+from hpcfair.tasks import Dispatcher
+
+from conftest import build_demo_workspace
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -184,6 +192,57 @@ def test_parsed_configs_validate_and_serialize(data):
 @given(JSON_VALUES | mutated(DRAFT, JSON_VALUES))
 def test_artifact_metadata_raises_only_typed_errors(doc):
     typed(ArtifactDraft.from_dict, doc)
+
+
+@FUZZ
+@given(st.text(max_size=40)
+       | st.from_regex(r"\A((tags|type|backend|title)=[^&]*&?)*\Z"))
+def test_search_queries_raise_only_typed_errors(query):
+    typed(_parse_search, query)
+
+
+ABSENT = object()
+# a task argument's value: absent, of every wrong kind, or valid
+TASK_ARG_VALUES = [ABSENT, None, "", [], 5, True, [5], ["a", 5], "a\0b"]
+# each task's demo config and the task arguments it declares
+TASKS = {"conversion": ("conversion.yaml",
+                        ["model_name", "model_file", "onnx_version"]),
+         "inference": ("collaboration.yaml",
+                       ["model_file", "input", "onnx_version"]),
+         "container": ("container.yaml",
+                       ["work_dir", "build_file", "build_tag", "volume",
+                        "onnx_version"])}
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    ws = build_demo_workspace(tmp_path_factory.mktemp("fuzz"))
+    converted = Dispatcher().dispatch(load_config(ws.conversion_cfg))
+    assert converted.status == "succeeded"
+    return ws.root
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_task_configs_fail_only_with_typed_errors(workspace, data):
+    task = data.draw(st.sampled_from(sorted(TASKS)))
+    name, keys = TASKS[task]
+    doc = yaml.safe_load((workspace / name).read_text())
+    section = doc["model_args" if "model_args" in doc else "task_args"]
+    for key in keys:
+        value = data.draw(st.sampled_from(
+            TASK_ARG_VALUES + [section.get(key, ABSENT)]), label=key)
+        section.pop(key, None)
+        if value is not ABSENT:
+            section[key] = value
+    doc["general_args"]["task"] = data.draw(
+        st.sampled_from([task, [task, "container"]]), label="task")
+    cfg = parse_config(yaml.safe_dump(doc), base_dir=workspace)
+    report = validate_config(cfg)
+    result = Dispatcher().dispatch(cfg)
+    assert result.status == "succeeded" or \
+        result.error["code"] != "internal_error", result.error
+    assert report.ok or result.error["code"] == "invalid_config"
 
 
 def test_seeds_are_valid_documents():

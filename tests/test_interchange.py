@@ -10,6 +10,7 @@ import oracle
 from hpcfair.errors import (
     CompositionError,
     CycleError,
+    InvalidGraphError,
     MalformedDocumentError,
     ShapeMismatchError,
     UnknownOperatorError,
@@ -27,7 +28,7 @@ from hpcfair.interchange import (
     topo_sort,
     validate_graph,
 )
-from hpcfair.runtime import NamedTensorSet, execute
+from hpcfair.runtime import NamedTensorSet, apply_node, execute
 
 
 def identity_graph(name="ident", tensor_in="x", tensor_out="y",
@@ -248,6 +249,29 @@ class TestShapes:
     def test_supplied_input_shape_must_match_declared(self):
         with pytest.raises(ShapeMismatchError, match="'x'"):
             infer_shapes(mlp_graph(), {"x": (1, 5)})
+
+    @pytest.mark.parametrize("node, match", [
+        (GraphNode("n", "Add", ("x", "z"), ("y",)),
+         "consumes tensor 'z' which is produced nowhere"),
+        (GraphNode("n", "Softmax", ("x",), ("y",)),
+         "missing required attribute 'axis'"),
+        (GraphNode("n", "Concat", ("x", "x"), ("y",)),
+         "missing required attribute 'axis'"),
+        (GraphNode("n", "Reshape", ("x",), ("y",)),
+         "missing required attribute 'target_shape'"),
+    ], ids=["unknown-input", "softmax", "concat", "reshape"])
+    def test_graph_the_validator_rejects_is_an_invalid_graph(self, node,
+                                                              match):
+        g = InterchangeGraph(
+            name="g", ir_version=1, inputs=(Tensor("x", "f32", (1, 2)),),
+            outputs=(Tensor("y", "f32", (1, 2)),), nodes=(node,))
+        assert any(match in v for v in validate_graph(g).violations)
+        with pytest.raises(InvalidGraphError, match=match):
+            infer_shapes(g)
+        if node.inputs == ("x",) * len(node.inputs):
+            x = Tensor("x", "f32", (1, 2), (1.0, 2.0))
+            with pytest.raises(InvalidGraphError, match=match):
+                apply_node(node, [x] * len(node.inputs))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,17 @@ class TestParseManifest:
         with pytest.raises(MalformedDocumentError):
             parse_manifest(b"build_tag: \xff\n")
 
+    @pytest.mark.parametrize("env", ["0", "false", "''", "[]"])
+    def test_env_that_is_not_a_mapping_is_malformed(self, env):
+        bad = MANIFEST.replace("env:\n  MODE: fast\n", f"env: {env}\n")
+        with pytest.raises(MalformedDocumentError, match="'env'"):
+            parse_manifest(bad)
+
+    @pytest.mark.parametrize("env", ["", "env: null\n"])
+    def test_absent_or_null_env_is_empty(self, env):
+        text = MANIFEST.replace("env:\n  MODE: fast\n", env)
+        assert parse_manifest(text).env == {}
+
 
 # ---------------------------------------------------------------------------
 # images

@@ -209,6 +209,20 @@ class TestTaskEndpoints:
         assert "inference requires task_args.input" \
             in body["data"]["violations"]
 
+    def test_task_argument_of_the_wrong_kind_is_400(self, server,
+                                                    publisher):
+        bad = (b"general_args:\n  task: \"inference\"\n"
+               b"  backend: \"onnx\"\n"
+               b"task_args:\n  model_file: 5\n  input: \"in.txt\"\n"
+               b"out_args:\n  export_file: \"o.txt\"\n")
+        r = requests.post(
+            f"{server.address}/v1/tasks", data=bad,
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 400
+        assert r.json()["data"]["violations"] == [
+            "inference: task_args.model_file must be a path or a non-empty "
+            "list of paths"]
+
     def test_deeply_nested_config_is_400_not_500(self, server, publisher):
         r = requests.post(
             f"{server.address}/v1/tasks", data=b"[" * 100000,
