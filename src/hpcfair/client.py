@@ -19,7 +19,7 @@ import os
 import time
 from pathlib import Path
 
-from .config import TaskConfig, parse_config
+from .config import TaskConfig, parse_config, relative_paths
 from .errors import ConfigError, HpcfairError
 from .tasks import Dispatcher, TaskResult
 
@@ -139,6 +139,15 @@ class ModelAPI:
         if self._dispatcher is not None:
             result = self._dispatcher.dispatch(cfg)
         else:
+            # the server would resolve a relative path against its own
+            # working directory, not the config's
+            relative = relative_paths(cfg)
+            if relative:
+                field, path = relative[0]
+                raise ConfigError(
+                    f"{field} {path!r} is a relative path, which a remote "
+                    "task cannot resolve; give an absolute path or a "
+                    "registry pid")
             result = self._submit_http(raw)
         if result.status != "succeeded":
             raise TaskFailed(result)

@@ -80,6 +80,11 @@ def is_path(value: Any) -> bool:
     return isinstance(value, str) and "\0" not in value
 
 
+def is_pid(value: Any) -> bool:
+    """Whether a model reference names a registry pid, not a file."""
+    return isinstance(value, str) and value.startswith("hpcf-")
+
+
 def _one_or_more(kind: Kind) -> Kind:
     many = kind.list(nonempty=True)
     return Kind(f"{kind.noun} or {many.noun}",
@@ -88,6 +93,7 @@ def _one_or_more(kind: Kind) -> Kind:
 
 
 _PATH = Kind("a path", "paths", is_path)
+_PATHS = _one_or_more(_PATH)
 # "" names the config's own directory, never a file to read or write
 _FILE = Kind("a non-empty path", "non-empty paths",
              lambda v: is_path(v) and v != "")
@@ -99,9 +105,9 @@ _VERSION = (POSITIVE, False)
 # checked with the other aligned lengths in validate_config).
 TASK_ARGS = {
     "conversion": ({"model_name": (_one_or_more(STR), True),
-                    "model_file": (_one_or_more(_PATH), True),
+                    "model_file": (_PATHS, True),
                     "onnx_version": _VERSION}, None),
-    "inference": ({"model_file": (_one_or_more(_PATH), True),
+    "inference": ({"model_file": (_PATHS, True),
                    "input": (_FILE, True), "onnx_version": _VERSION}, 1),
     "container": ({"work_dir": (_PATH, True), "build_file": (_PATH, True),
                    "build_tag": (None, True), "volume": (None, True),
@@ -222,6 +228,21 @@ def serialize_config(cfg: TaskConfig) -> bytes:
         "extras": {k: cfg.extras[k] for k in sorted(cfg.extras)},
     }
     return dumps_canonical(doc)
+
+
+def relative_paths(cfg: TaskConfig) -> list[tuple[str, str]]:
+    """(field, value) for each relative path in cfg's task arguments and
+    exports, which only a run beside the config can resolve."""
+    task = cfg.general.task
+    keys = TASK_ARGS[task][0] if task in TASKS else {}
+    section = cfg.task_section or "task_args"
+    fields = [(f"{section}.{key}", cfg.task_args.get(key))
+              for key, (kind, _) in keys.items()
+              if kind in (_PATH, _PATHS, _FILE)]
+    fields.append(("out_args.export_file", cfg.out.get("export_file")))
+    return [(name, path) for name, value in fields for path in as_list(value)
+            if is_path(path) and not is_pid(path)
+            and not Path(path).is_absolute()]
 
 
 def validate_config(cfg: TaskConfig) -> ValidationReport:

@@ -396,7 +396,8 @@ def run_conversion_task(cfg: TaskConfig) -> list[Path]:
             raise UnknownBackendError(
                 f"unknown conversion backend {backend!r}")
 
-    ir_version = cfg.task_args.get("onnx_version", 1)
+    # null counts as absent; validate_config rejects 0
+    ir_version = cfg.task_args.get("onnx_version") or 1
     payloads = []
     for backend, name, path in zip(backends, names, files):
         src = cfg.resolve(path)

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ._canonical import LIST, check, dumps_canonical, loads_canonical
-from .config import TaskConfig, as_list
+from .config import TaskConfig, as_list, is_pid
 from .errors import (
     ConfigError,
     ExecutionError,
@@ -209,7 +209,7 @@ def _bind_inputs(g: InterchangeGraph, ts: NamedTensorSet) -> NamedTensorSet:
 
 def _load_model(cfg: TaskConfig, ref: str, store: Any) -> InterchangeGraph:
     # pid references resolve through the store's trusted server-side reader
-    if store is not None and ref.startswith("hpcf-"):
+    if store is not None and is_pid(ref):
         return parse_graph(store.read_blob_by_pid(ref))
     path = cfg.resolve(ref)
     if not path.is_file():

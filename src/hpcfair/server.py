@@ -4,11 +4,13 @@ Versioned under ``/v1``.  Bodies are UTF-8 JSON with a top-level ``ok``
 flag plus ``data`` or ``error{code, message}``; every failure carries a
 stable machine-readable code.  Artifact upload is a two-part body: one
 metadata JSON line, a newline, then the raw content bytes.  Task submission
-is asynchronous: POST returns 202 with a task id to poll.
+is asynchronous: POST returns 202 with a task id to poll; a poll with
+``?wait=<s>`` holds the reply until the task ends or the wait runs out.
 
 Handlers hold no mutable state of their own; everything shared lives in the
 registry (single-writer) and dispatcher (claim table), so the threading
-server needs no extra locks beyond the task table's.
+server needs no extra locks beyond the task table's.  The table keeps the
+last ``_RESULTS_KEPT`` finished results, so it does not grow with traffic.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ from urllib.parse import parse_qs, urlparse
 
 from ._canonical import OBJECT, check, dumps_canonical, loads_canonical
 from .config import parse_config, validate_config
-from .errors import AuthError, HpcfairError, InvalidArtifactError, \
-    MalformedDocumentError, UnknownTaskError
+from .errors import AuthError, ConfigError, HpcfairError, \
+    InvalidArtifactError, MalformedDocumentError, UnknownTaskError
 from .registry import ArtifactDraft, Registry, SearchQuery, content_digest
 from .tasks import Dispatcher, TaskResult
 
 logger = logging.getLogger(__name__)
 
 _SHUTDOWN_POLL_SECONDS = 0.05  # stop() waits up to this long
+_WAIT_CAP_SECONDS = 30.0  # the longest a task poll is held (RFC 6202, section 2)
+_RESULTS_KEPT = 256  # finished results kept; older ids are unknown_task
 
 _STATUS_BY_CODE = {
     "unauthorized": 401,
@@ -66,8 +70,11 @@ class HpcfairServer:
                  port: int = 0):
         self.registry = registry
         self.dispatcher = Dispatcher(store=registry)
-        self._tasks: dict[str, TaskResult | None] = {}
-        self._tasks_lock = threading.Lock()
+        # the task table: running ids, and finished results oldest first
+        self._running: set[str] = set()
+        self._results: dict[str, TaskResult] = {}
+        self._stopping = False
+        self._tasks_changed = threading.Condition()
         self._pool = ThreadPoolExecutor(max_workers=8)
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.app = self  # type: ignore[attr-defined]
@@ -89,6 +96,9 @@ class HpcfairServer:
         self._httpd.serve_forever(poll_interval=_SHUTDOWN_POLL_SECONDS)
 
     def stop(self) -> None:
+        with self._tasks_changed:  # release every held poll
+            self._stopping = True
+            self._tasks_changed.notify_all()
         self._httpd.shutdown()
         self._httpd.server_close()
         self._pool.shutdown(wait=True)
@@ -101,21 +111,30 @@ class HpcfairServer:
         # claimed here, in the handler thread, so POST order decides which
         # of two tasks exporting one path wins
         task_id = self.dispatcher.submit(cfg)
-        with self._tasks_lock:
-            self._tasks[task_id] = None  # running
+        with self._tasks_changed:
+            self._running.add(task_id)
         self._pool.submit(self._run_task, cfg, task_id)
         return task_id
 
     def _run_task(self, cfg, task_id: str) -> None:
         result = self.dispatcher.execute(cfg, task_id)
-        with self._tasks_lock:
-            self._tasks[task_id] = result
+        with self._tasks_changed:
+            self._running.discard(task_id)
+            self._results[task_id] = result
+            if len(self._results) > _RESULTS_KEPT:
+                del self._results[next(iter(self._results))]
+            self._tasks_changed.notify_all()
 
-    def task_status(self, task_id: str) -> dict:
-        with self._tasks_lock:
-            if task_id not in self._tasks:
+    def task_status(self, task_id: str, wait: float = 0.0) -> dict:
+        """A task's status; a running task is waited on for up to ``wait``
+        seconds, or until ``stop``."""
+        with self._tasks_changed:
+            self._tasks_changed.wait_for(
+                lambda: task_id not in self._running or self._stopping,
+                timeout=wait)
+            result = self._results.get(task_id)
+            if result is None and task_id not in self._running:
                 raise UnknownTaskError(f"unknown task id {task_id}")
-            result = self._tasks[task_id]
         if result is None:
             return {"task_id": task_id, "status": "running"}
         return result.to_dict()
@@ -124,6 +143,9 @@ class HpcfairServer:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "hpcfair/0.1"
     protocol_version = "HTTP/1.1"
+    # a keep-alive reply goes out at once, not after the peer's delayed
+    # ACK (RFC 896; RFC 1122, section 4.2.3.2)
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> HpcfairServer:
@@ -205,7 +227,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, ok_body(
                 {"records": [r.to_dict() for r in records]}))
         elif parts[:2] == ["v1", "tasks"] and len(parts) == 3:
-            self._send_json(200, ok_body(self.app.task_status(parts[2])))
+            wait = _parse_wait(url.query)
+            self._send_json(200, ok_body(self.app.task_status(parts[2],
+                                                              wait)))
         else:
             raise HpcfairError(f"no route for {url.path}", code="not_found")
 
@@ -257,6 +281,21 @@ def _parse_search(query_string: str) -> SearchQuery:
         backend_tag=single("backend"),
         title_substring=single("title"),
     )
+
+
+def _parse_wait(query_string: str) -> float:
+    """The ``wait`` of a task poll in seconds, capped; 0 when absent."""
+    values = parse_qs(query_string, keep_blank_values=True).get("wait")
+    if not values:
+        return 0.0
+    try:
+        wait = float(values[0])
+        if not wait >= 0:  # NaN fails every comparison
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"wait must be a number of seconds >= 0, "
+                          f"got {values[0]!r}") from None
+    return min(wait, _WAIT_CAP_SECONDS)
 
 
 def _split_upload(body: bytes) -> tuple[dict, bytes]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,6 +158,20 @@ def write_container_project(root: Path, deterministic: bool = True,
     return project
 
 
+def absolute_config(ws: DemoWorkspace, name: str) -> Path:
+    """A copy of the workspace's config ``name`` with every relative path
+    made absolute, as a remote task needs; returns the copy's path."""
+    text = (ws.root / name).read_text().replace('"./ckpt/',
+                                                f'"{ws.root}/ckpt/')
+    for path in ("encoder.onnx", "decoder.onnx", "input.txt", "out.txt",
+                 "project_dir", "project_dir/build.yaml",
+                 "out_container.txt"):
+        text = text.replace(f'"{path}"', f'"{ws.root}/{path}"')
+    copy = ws.root / f"absolute-{name}"
+    copy.write_text(text)
+    return copy
+
+
 @pytest.fixture
 def demo_workspace(tmp_path) -> DemoWorkspace:
     return build_demo_workspace(tmp_path)
@@ -186,6 +201,19 @@ def server(store):
     srv = HpcfairServer(store).start()
     yield srv
     srv.stop()
+
+
+def hold_tasks(server: HpcfairServer) -> threading.Event:
+    """Hold every task the server runs until the returned event is set."""
+    release = threading.Event()
+    real_run = server._run_task
+
+    def run_task(cfg, task_id):
+        release.wait(timeout=10)
+        real_run(cfg, task_id)
+
+    server._run_task = run_task
+    return release
 
 
 def make_model_checkpoint(label: str) -> bytes:

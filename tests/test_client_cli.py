@@ -6,12 +6,14 @@ import time
 import pytest
 import requests
 
+from hpcfair import client
 from hpcfair.client import ModelAPI, TaskFailed, modelAPI, request
 from hpcfair.cli import main
 from hpcfair.errors import ConfigError, HpcfairError
 from hpcfair.registry import ArtifactDraft, Registry, derive_pid
 
-from conftest import build_demo_workspace, make_model_checkpoint
+from conftest import absolute_config, build_demo_workspace, hold_tasks, \
+    make_model_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -90,31 +92,68 @@ class TestModelAPIOverHttp:
     def test_conversion_submits_and_polls(self, tmp_path, server, store,
                                           publisher, monkeypatch):
         ws = build_demo_workspace(tmp_path / "ws")
-        text = (ws.root / "conversion.yaml").read_text()
-        text = text.replace('"./ckpt/', f'"{ws.root}/ckpt/')
-        text = text.replace('"encoder.onnx"', f'"{ws.root}/encoder.onnx"')
-        text = text.replace('"decoder.onnx"', f'"{ws.root}/decoder.onnx"')
-        (ws.root / "remote.yaml").write_text(text)
-
         monkeypatch.setenv("HPCFAIR_ADDR", server.address)
         monkeypatch.setenv("HPCFAIR_TOKEN", publisher.token)
         api = ModelAPI()  # both settings come from the environment
-        result = api.conversion(ws.root / "remote.yaml")
+        result = api.conversion(absolute_config(ws, "conversion.yaml"))
         assert result.status == "succeeded"
         assert (ws.root / "encoder.onnx").exists()
 
     def test_failed_remote_task_raises_task_failed(self, tmp_path, server,
                                                    publisher):
         ws = build_demo_workspace(tmp_path / "ws")
-        # relative model paths cannot resolve server-side: the task fails
+        # the models were never converted: the task fails on the server
         api = ModelAPI(address=server.address, token=publisher.token)
-        with pytest.raises(TaskFailed):
-            api.collaborate(ws.root / "collaboration.yaml")
+        with pytest.raises(TaskFailed) as err:
+            api.collaborate(absolute_config(ws, "collaboration.yaml"))
+        assert err.value.code == "execution_error"
+
+    @pytest.mark.parametrize("name, field", [
+        ("conversion.yaml", "model_args.model_file './ckpt/encoder.ckpt'"),
+        ("collaboration.yaml", "task_args.model_file 'encoder.onnx'"),
+        ("container.yaml", "task_args.work_dir 'project_dir'")])
+    def test_relative_path_is_rejected_before_any_request(
+            self, demo_workspace, monkeypatch, name, field):
+        def send(*args, **kwargs):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(requests, "get", send)
+        monkeypatch.setattr(requests, "post", send)
+        api = ModelAPI(address="http://127.0.0.1:1", token="t")
+        with pytest.raises(ConfigError, match="absolute path or a registry "
+                           "pid") as err:
+            api._submit(api._load(demo_workspace.root / name, expect=None))
+        assert err.value.message.startswith(f"{field} is a relative path")
+
+    def test_relative_export_is_rejected(self, demo_workspace):
+        config = absolute_config(demo_workspace, "collaboration.yaml")
+        config.write_text(config.read_text().replace(
+            f'"{demo_workspace.root}/out.txt"', '"out.txt"'))
+        api = ModelAPI(address="http://127.0.0.1:1", token="t")
+        with pytest.raises(ConfigError, match="^out_args.export_file 'out"):
+            api.collaborate(config)
+
+    def test_pid_model_reference_is_sent(self, server, store, publisher,
+                                         demo_workspace):
+        # absolute paths and registry pids pass the relative-path check
+        ModelAPI().conversion(demo_workspace.root / "conversion.yaml")
+        pids = [store.register_artifact(
+            (demo_workspace.root / f"{name}.onnx").read_bytes(),
+            ArtifactDraft(title=name, artifact_type="model",
+                          backend_tag="onnx"), publisher)[0].pid
+            for name in ("encoder", "decoder")]
+        config = absolute_config(demo_workspace, "collaboration.yaml")
+        config.write_text(config.read_text().replace(
+            f'"{demo_workspace.root}/encoder.onnx", '
+            f'"{demo_workspace.root}/decoder.onnx"',
+            f'"{pids[0]}", "{pids[1]}"'))
+        api = ModelAPI(address=server.address, token=publisher.token)
+        assert api.collaborate(config).status == "succeeded"
 
     def test_bad_token_raises_with_the_server_code(self, demo_workspace,
                                                    server, monkeypatch):
         monkeypatch.delenv("HPCFAIR_TOKEN", raising=False)
-        config = demo_workspace.root / "conversion.yaml"
+        config = absolute_config(demo_workspace, "conversion.yaml")
         for token, code in (("f" * 64, "unknown_token"),
                             (None, "unauthorized")):
             api = ModelAPI(address=server.address, token=token)
@@ -139,10 +178,22 @@ class TestModelAPIOverHttp:
         api = ModelAPI(address=server.address, token=publisher.token)
         started = time.monotonic()
         with pytest.raises(HpcfairError) as err:
-            api.conversion(demo_workspace.root / "conversion.yaml")
+            api.conversion(absolute_config(demo_workspace, "conversion.yaml"))
         assert err.value.code == "unknown_task"
         assert len(polls) == 1
         assert time.monotonic() - started < 5.0
+
+    def test_a_task_that_outlasts_the_timeout_raises(
+            self, demo_workspace, server, publisher, monkeypatch):
+        release = hold_tasks(server)
+        monkeypatch.setattr(client, "_POLL_TIMEOUT", 0.3)
+        api = ModelAPI(address=server.address, token=publisher.token)
+        try:
+            with pytest.raises(HpcfairError, match="did not finish within"):
+                api.conversion(absolute_config(demo_workspace,
+                                               "conversion.yaml"))
+        finally:
+            release.set()
 
     def test_reply_without_envelope_names_the_address(self, monkeypatch):
         reply = requests.Response()
@@ -157,7 +208,7 @@ class TestModelAPIOverHttp:
     def test_unreachable_address_names_it(self, demo_workspace):
         api = ModelAPI(address="http://127.0.0.1:1", token="t")
         with pytest.raises(HpcfairError, match="http://127.0.0.1:1") as err:
-            api.conversion(demo_workspace.root / "conversion.yaml")
+            api.conversion(absolute_config(demo_workspace, "conversion.yaml"))
         assert err.value.code == "connection_error"
 
 
@@ -383,11 +434,7 @@ class TestCliRemote:
     def test_run_executes_on_the_server(self, tmp_path, server, publisher,
                                         capsys, monkeypatch):
         ws = build_demo_workspace(tmp_path / "ws")
-        config = ws.root / "conversion.yaml"
-        config.write_text(config.read_text().replace(
-            '"./ckpt/', f'"{ws.root}/ckpt/').replace(
-            '"encoder.onnx"', f'"{ws.root}/encoder.onnx"').replace(
-            '"decoder.onnx"', f'"{ws.root}/decoder.onnx"'))
+        config = absolute_config(ws, "conversion.yaml")
         submitted = []
         real_submit = server.submit_task
 
@@ -405,8 +452,9 @@ class TestCliRemote:
 
     def test_run_against_nothing_listening_exits_1(self, demo_workspace,
                                                    capsys):
+        config = absolute_config(demo_workspace, "conversion.yaml")
         code = main(["--addr", "http://127.0.0.1:1", "--token", "t", "run",
-                     "--config", str(demo_workspace.root / "conversion.yaml")])
+                     "--config", str(config)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: connection_error: ")

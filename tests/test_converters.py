@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from hpcfair.errors import (
 )
 from hpcfair.interchange import Tensor, infer_shapes, serialize_graph
 from hpcfair.runtime import NamedTensorSet, execute
+from hpcfair.tasks import Dispatcher
 
 from conftest import build_demo_checkpoints
 
@@ -241,6 +243,18 @@ class TestConversionTask:
             assert p.exists()
             doc = json.loads(p.read_text(encoding="utf-8"))
             assert doc["ir_version"] == 10
+
+    @pytest.mark.parametrize("line", ["  onnx_version: null\n", ""],
+                             ids=["null", "absent"])
+    def test_null_or_absent_onnx_version_converts_at_1(self, demo_workspace,
+                                                       line):
+        config = demo_workspace.root / "conversion.yaml"
+        config.write_text(config.read_text().replace(
+            "  onnx_version: 10\n", line))
+        result = Dispatcher().dispatch(load_config(config))
+        assert result.status == "succeeded", result.error
+        for path in result.outputs:
+            assert json.loads(Path(path).read_bytes())["ir_version"] == 1
 
     def test_single_backend_fans_out(self, demo_workspace):
         cfg = load_config(demo_workspace.root / "conversion.yaml")

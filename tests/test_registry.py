@@ -287,6 +287,18 @@ class TestSearch:
 
 
 class TestDurability:
+    def test_reopened_records_share_their_repeated_strings(self, store,
+                                                            publisher):
+        for label in ("a", "b"):
+            store.register_artifact(
+                f"dataset {label}".encode(),
+                draft(label.upper(), "dataset", "none", tags=["speech"]),
+                publisher)
+        first, second = Registry(store.root).all_records()
+        for name in ("artifact_type", "backend_tag", "creator", "license"):
+            assert getattr(first, name) is getattr(second, name)
+        assert first.tags[0] is second.tags[0]
+
     def test_corrupted_blob_detected(self, store, publisher):
         (rec, _) = store.register_artifact(make_model_checkpoint("x"),
                                            draft("X"), publisher)

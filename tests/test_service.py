@@ -8,9 +8,13 @@ import time
 import pytest
 import requests
 
+from hpcfair import server as server_module
+from hpcfair._canonical import dumps_canonical
 from hpcfair.registry import Registry, SearchQuery, content_digest
+from hpcfair.server import HpcfairServer
 
-from conftest import build_demo_workspace, make_model_checkpoint
+from conftest import absolute_config, build_demo_workspace, hold_tasks, \
+    make_model_checkpoint
 
 META = {"title": "Encoder", "artifact_type": "model", "backend_tag": "pt",
         "tags": ["nlp"], "version": 1, "license": "mit"}
@@ -24,14 +28,37 @@ def push(server, token, meta=META, content=None):
 
 
 def poll_task(server, task_id, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        r = requests.get(f"{server.address}/v1/tasks/{task_id}")
-        body = r.json()["data"]
-        if body["status"] != "running":
-            return body
-        time.sleep(0.05)
-    raise AssertionError(f"task {task_id} still running after {timeout}s")
+    r = requests.get(f"{server.address}/v1/tasks/{task_id}",
+                     params={"wait": timeout})
+    body = r.json()["data"]
+    if body["status"] == "running":
+        raise AssertionError(f"task {task_id} still running after {timeout}s")
+    return body
+
+
+def submit(server, token, tmp_path, name="o.txt"):
+    """Submit an inference task that fails at once: its model is missing."""
+    cfg = (f'general_args:\n  task: "inference"\n  backend: "onnx"\n'
+           f'task_args:\n  model_file: "{tmp_path}/none.onnx"\n'
+           f'  input: "{tmp_path}/in.txt"\n'
+           f'out_args:\n  export_file: "{tmp_path}/{name}"\n').encode()
+    r = requests.post(f"{server.address}/v1/tasks", data=cfg,
+                      headers={"Authorization": f"Bearer {token}"})
+    assert r.status_code == 202, r.text
+    return r.json()["data"]["task_id"]
+
+
+@pytest.fixture
+def gate(server):
+    release = hold_tasks(server)
+    yield release
+    release.set()
+
+
+def timed_get(url, **kwargs):
+    started = time.monotonic()
+    r = requests.get(url, **kwargs)
+    return r, time.monotonic() - started
 
 
 class TestArtifactEndpoints:
@@ -159,23 +186,15 @@ class TestTaskEndpoints:
 
         # configs resolve paths against their own base_dir; raw bytes sent
         # over the wire lose it, so all paths must be absolute here
-        def absolutize(name, *fragments):
-            text = (ws.root / name).read_text()
-            for fragment in fragments:
-                text = text.replace(f'"{fragment}"', f'"{ws.root}/{fragment}"')
-            return text.replace('"./ckpt/', f'"{ws.root}/ckpt/').encode()
-
         conv = requests.post(
             f"{server.address}/v1/tasks",
-            data=absolutize("conversion.yaml", "encoder.onnx",
-                            "decoder.onnx"),
+            data=absolute_config(ws, "conversion.yaml").read_bytes(),
             headers=headers)
         assert conv.status_code == 202
         assert poll_task(server, conv.json()["data"]["task_id"])["status"] \
             == "succeeded"
 
-        infer_body = absolutize("collaboration.yaml", "encoder.onnx",
-                                "decoder.onnx", "input.txt", "out.txt")
+        infer_body = absolute_config(ws, "collaboration.yaml").read_bytes()
         infer = requests.post(f"{server.address}/v1/tasks",
                               data=infer_body, headers=headers)
         assert infer.status_code == 202
@@ -247,10 +266,7 @@ class TestTaskEndpoints:
     def test_first_posted_task_wins_an_export_collision(
             self, tmp_path, server, publisher, monkeypatch):
         ws = build_demo_workspace(tmp_path / "ws")
-        text = (ws.root / "conversion.yaml").read_text()
-        for name in ("encoder.onnx", "decoder.onnx"):
-            text = text.replace(f'"{name}"', f'"{ws.root}/{name}"')
-        body = text.replace('"./ckpt/', f'"{ws.root}/ckpt/').encode()
+        body = absolute_config(ws, "conversion.yaml").read_bytes()
 
         # hold the first task's worker back until the second task is done,
         # so the first task runs, and would claim if it claimed late, last
@@ -289,6 +305,117 @@ class TestTaskEndpoints:
         assert r.status_code == 400
         assert "out_args.export_file must be a path or a list of paths" \
             in r.json()["data"]["violations"]
+
+
+class TestTaskWait:
+    """GET /v1/tasks/<id>?wait=<s> holds the reply until the task ends."""
+
+    def test_wait_returns_when_the_task_ends(self, server, publisher,
+                                             tmp_path, gate):
+        task_id = submit(server, publisher.token, tmp_path)
+        threading.Timer(0.2, gate.set).start()
+        r, took = timed_get(f"{server.address}/v1/tasks/{task_id}",
+                            params={"wait": 20})
+        assert r.json()["data"]["status"] == "failed"
+        assert 0.15 < took < 5.0
+
+    def test_without_wait_the_reply_is_unchanged(self, server, publisher,
+                                                 tmp_path, gate):
+        task_id = submit(server, publisher.token, tmp_path)
+        url = f"{server.address}/v1/tasks/{task_id}"
+        r, took = timed_get(url)
+        assert took < 2.0
+        assert r.content == (b'{"ok":true,"data":{"task_id":"' +
+                             task_id.encode() + b'","status":"running"}}\n')
+        assert requests.get(url, params={"wait": 0}).content == r.content
+        gate.set()
+        done = poll_task(server, task_id)
+        assert requests.get(url).content == dumps_canonical(
+            {"ok": True, "data": done})
+
+    def test_wait_above_the_cap_is_clamped(self, server, publisher,
+                                           tmp_path, gate, monkeypatch):
+        monkeypatch.setattr(server_module, "_WAIT_CAP_SECONDS", 0.3)
+        task_id = submit(server, publisher.token, tmp_path)
+        r, took = timed_get(f"{server.address}/v1/tasks/{task_id}",
+                            params={"wait": 1000})
+        assert r.json()["data"]["status"] == "running"
+        assert 0.25 < took < 5.0
+
+    @pytest.mark.parametrize("wait", ["soon", "-1", "nan", "NaN", ""])
+    def test_bad_wait_is_400(self, server, publisher, tmp_path, wait):
+        task_id = submit(server, publisher.token, tmp_path)
+        r = requests.get(f"{server.address}/v1/tasks/{task_id}?wait={wait}")
+        assert r.status_code == 400
+        assert r.json()["error"]["code"] == "invalid_config"
+
+    def test_unknown_id_with_wait_is_404_at_once(self, server):
+        r, took = timed_get(f"{server.address}/v1/tasks/task-999999-deadbeef",
+                            params={"wait": 20})
+        assert r.status_code == 404
+        assert r.json()["error"]["code"] == "unknown_task"
+        assert took < 2.0
+
+    def test_stop_releases_a_held_poll(self, store, publisher, tmp_path):
+        server = HpcfairServer(store).start()
+        release = hold_tasks(server)
+        task_id = submit(server, publisher.token, tmp_path)
+        replies = []
+        waiter = threading.Thread(target=lambda: replies.append(timed_get(
+            f"{server.address}/v1/tasks/{task_id}", params={"wait": 20})))
+        waiter.start()
+        time.sleep(0.5)  # let the poll reach the server and block
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        (r, took), = replies
+        assert r.json()["data"]["status"] == "running"
+        assert took < 5.0
+        release.set()  # stop() waits for the running task
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
+
+    def test_oldest_result_is_dropped_past_the_bound(self, server,
+                                                     publisher, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(server_module, "_RESULTS_KEPT", 2)
+        ids = []
+        for i in range(3):  # one at a time, so they end in this order
+            ids.append(submit(server, publisher.token, tmp_path, f"o{i}.txt"))
+            poll_task(server, ids[-1])
+        r = requests.get(f"{server.address}/v1/tasks/{ids[0]}")
+        assert r.status_code == 404
+        assert r.json()["error"]["code"] == "unknown_task"
+        for task_id in ids[1:]:
+            assert requests.get(f"{server.address}/v1/tasks/{task_id}"
+                                ).json()["data"]["status"] == "failed"
+
+    def test_a_poll_on_a_dropped_result_wakes_with_404(
+            self, server, publisher, tmp_path, gate, monkeypatch):
+        monkeypatch.setattr(server_module, "_RESULTS_KEPT", 0)
+        task_id = submit(server, publisher.token, tmp_path)
+        threading.Timer(0.2, gate.set).start()
+        r, took = timed_get(f"{server.address}/v1/tasks/{task_id}",
+                            params={"wait": 20})
+        assert r.status_code == 404
+        assert r.json()["error"]["code"] == "unknown_task"
+        assert took < 5.0
+
+
+class TestKeepAlive:
+    def test_replies_on_one_connection_do_not_stall(self, server):
+        # a reply written as headers then body waits about 40 ms for the
+        # client's delayed ACK unless the server disables Nagle
+        with requests.Session() as session:
+            session.get(f"{server.address}/v1/search", params={"tags": "x"})
+            started = time.monotonic()
+            for _ in range(20):
+                r = session.get(f"{server.address}/v1/search",
+                                params={"tags": "x"})
+                assert r.status_code == 200
+            took = time.monotonic() - started
+        assert took < 20 * 0.040 / 2
 
 
 class TestMetadataFields:
