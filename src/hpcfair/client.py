@@ -9,7 +9,8 @@
 Each verb loads a config file, submits it, waits for completion, and
 returns the TaskResult; a failed task raises instead of returning partial
 success.  With no address the client runs tasks in-process; with an address
-it submits and polls through ``request``, the service's one HTTP client.
+it submits the task through ``request``, the service's one HTTP client, and
+asks for its status with ``wait``, so the server answers when it ends.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .tasks import Dispatcher, TaskResult
 
 logger = logging.getLogger(__name__)
 
-_POLL_SECONDS = 0.05
 _POLL_TIMEOUT = 60.0
+_TIMEOUT = 30.0  # seconds to connect, and to wait for a reply to begin
 
 
 def request(address: str, method: str, path: str, *,
@@ -35,14 +36,20 @@ def request(address: str, method: str, path: str, *,
     the bytes of an octet-stream response.  A failure raises HpcfairError
     with the server's code and the envelope's ``data`` as details; an
     unreachable address or a reply without an envelope raises one naming
-    the address.  Uses module-level ``requests.get``/``post`` (no Session).
+    the address, as does one that gives no reply within ``timeout``
+    (``_TIMEOUT`` unless given).  Uses module-level ``requests.get``/``post``
+    (no Session).
     """
     import requests
 
     headers = {"Authorization": f"Bearer {token}"} if token else {}
     send = requests.post if method == "POST" else requests.get
+    kwargs.setdefault("timeout", _TIMEOUT)
     try:
         response = send(f"{address}{path}", headers=headers, **kwargs)
+    except requests.Timeout as exc:  # a ReadTimeout is no ConnectionError
+        raise HpcfairError(f"no reply from {address}: {exc}",
+                           code="connection_error") from None
     except requests.ConnectionError as exc:
         raise HpcfairError(f"cannot reach {address}: {exc}",
                            code="connection_error") from None
@@ -160,16 +167,18 @@ class ModelAPI:
                           token=self.token, data=raw)["task_id"]
         deadline = time.monotonic() + _POLL_TIMEOUT
         while True:
+            # the server holds the reply until the task ends (RFC 6202)
+            wait = max(deadline - time.monotonic(), 0.0)
             data = request(self.address, "GET", f"/v1/tasks/{task_id}",
-                           token=self.token)
-            if data["status"] in ("succeeded", "failed"):
+                           token=self.token, params={"wait": wait},
+                           timeout=(_TIMEOUT, wait + _TIMEOUT))
+            if data["status"] != "running":
                 return TaskResult(data["task_id"], data["status"],
                                   tuple(data["outputs"]), tuple(data["log"]),
                                   data["error"])
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise HpcfairError(f"task {task_id} did not finish within "
                                    f"{_POLL_TIMEOUT:.0f}s")
-            time.sleep(_POLL_SECONDS)
 
 
 # lowercase alias, kept for callers that write `api = modelAPI()`

@@ -92,11 +92,10 @@ def _one_or_more(kind: Kind) -> Kind:
                 lambda v: kind.test(v) or many.test(v))
 
 
-_PATH = Kind("a path", "paths", is_path)
-_PATHS = _one_or_more(_PATH)
-# "" names the config's own directory, never a file to read or write
+# "" would resolve to the config's own directory, so no path may be empty
 _FILE = Kind("a non-empty path", "non-empty paths",
              lambda v: is_path(v) and v != "")
+_PATHS = _one_or_more(_FILE)
 _VERSION = (POSITIVE, False)
 
 # Each task's contract: its task_args keys as key -> (kind, required), where
@@ -109,7 +108,7 @@ TASK_ARGS = {
                     "onnx_version": _VERSION}, None),
     "inference": ({"model_file": (_PATHS, True),
                    "input": (_FILE, True), "onnx_version": _VERSION}, 1),
-    "container": ({"work_dir": (_PATH, True), "build_file": (_PATH, True),
+    "container": ({"work_dir": (_FILE, True), "build_file": (_FILE, True),
                    "build_tag": (None, True), "volume": (None, True),
                    "onnx_version": _VERSION}, 1),
 }
@@ -238,7 +237,7 @@ def relative_paths(cfg: TaskConfig) -> list[tuple[str, str]]:
     section = cfg.task_section or "task_args"
     fields = [(f"{section}.{key}", cfg.task_args.get(key))
               for key, (kind, _) in keys.items()
-              if kind in (_PATH, _PATHS, _FILE)]
+              if kind in (_PATHS, _FILE)]
     fields.append(("out_args.export_file", cfg.out.get("export_file")))
     return [(name, path) for name, value in fields for path in as_list(value)
             if is_path(path) and not is_pid(path)

@@ -3,7 +3,7 @@
 Every artifact gets a persistent identifier derived from its bytes, so
 identifiers are globally unique with zero coordination and duplicate uploads
 are detected by construction.  Metadata lives in an append-only log
-(``meta.log``), credentials only as salted hashes in ``tokens``, and blobs
+(``meta.log``), credentials only as hashes in ``tokens``, and blobs
 under ``blobs/<hh>/<fullhash>``.  Each handle follows both logs from where
 it last stopped, and a push checks for duplicates and appends under
 ``meta.log``'s lock.  Pushing a "pt" or "tf" model automatically registers a
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import secrets
 import sys
 import threading
@@ -218,7 +219,10 @@ class Registry:
         self._lock = threading.Lock()  # guards the index and _follow
         self._records: dict[str, ArtifactRecord] = {}
         self._by_hash: dict[str, str] = {}  # content_hash -> pid
-        self._tokens: list[tuple[str, str, str, str, str]] = []
+        # token_hash -> (account, role, expires_at) of unsalted rows; the
+        # salted rows of older stores are scanned
+        self._tokens: dict[str, tuple[str, str, str]] = {}
+        self._salted: list[tuple[str, str, tuple[str, str, str]]] = []
         self._follow = {self.meta_log: (0, -1), self.token_file: (0, -1)}
         self._load()
 
@@ -234,13 +238,19 @@ class Registry:
                 self._records[record.pid] = record
                 self._by_hash[record.content_hash] = record.pid
             for row in self._new_rows(self.token_file):
-                self._tokens.append((row["salt"], row["token_hash"],
-                                     row["account"], row["role"],
-                                     row["expires_at"]))
+                grant = row["account"], row["role"], row["expires_at"]
+                if row["salt"]:
+                    self._salted.append((row["salt"], row["token_hash"],
+                                         grant))
+                else:
+                    self._tokens[row["token_hash"]] = grant
 
     def _new_rows(self, path: Path) -> Iterator[Any]:
         offset, seen = self._follow[path]  # offset read to, size when read
-        size = path.stat().st_size if path.exists() else 0
+        try:
+            size = os.stat(path).st_size
+        except FileNotFoundError:
+            size = 0
         # one stat when nothing was appended; a torn tail (offset != seen)
         # cut and replaced by lines of equal length now ends in a newline
         if size != seen or offset != seen and _ends_line(path, size):
@@ -265,10 +275,10 @@ class Registry:
             raise ConfigError(f"ttl {ttl_seconds} s is out of range") \
                 from None
         token = secrets.token_hex(32)  # hex: never begins with "-"
-        salt = secrets.token_hex(8)
+        # 256 random bits need no salt, and an unsalted hash is one lookup
         row = {
-            "token_hash": self._hash_token(salt, token),
-            "salt": salt,
+            "token_hash": self._hash_token("", token),
+            "salt": "",
             "account": account,
             "role": role,
             "expires_at": expires_at.isoformat(),
@@ -285,16 +295,19 @@ class Registry:
         token = _token_of(cred)
         if not token:
             raise AuthError("missing credential", code="unauthorized")
-        self._catch_up()
-        for salt, token_hash, account, role, expires_at in self._tokens:
-            if self._hash_token(salt, token) != token_hash:
-                continue
-            if datetime.now(timezone.utc) >= \
-                    datetime.fromisoformat(expires_at):
-                raise AuthError("credential has expired",
-                                code="expired_token")
-            return account, role
-        raise AuthError("unknown credential", code="unknown_token")
+        token_hash = self._hash_token("", token)
+        grant = self._tokens.get(token_hash)
+        if grant is None:  # issued since the last call, or a salted row
+            self._catch_up()
+            grant = self._tokens.get(token_hash) or next(
+                (grant for salt, stored, grant in self._salted
+                 if self._hash_token(salt, token) == stored), None)
+        if grant is None:
+            raise AuthError("unknown credential", code="unknown_token")
+        account, role, expires_at = grant
+        if datetime.now(timezone.utc) >= datetime.fromisoformat(expires_at):
+            raise AuthError("credential has expired", code="expired_token")
+        return account, role
 
     def _require_role(self, cred: Credential | str | None,
                       role: str) -> tuple[str, str]:

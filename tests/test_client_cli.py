@@ -1,6 +1,8 @@
 """Client verbs and the command-line interface."""
 
 import json
+import socket
+import threading
 import time
 
 import pytest
@@ -14,6 +16,27 @@ from hpcfair.registry import ArtifactDraft, Registry, derive_pid
 
 from conftest import absolute_config, build_demo_workspace, hold_tasks, \
     make_model_checkpoint
+
+
+def count_polls(monkeypatch) -> tuple[list, list]:
+    """Record the keyword arguments of each ``requests.get`` and the
+    seconds of each ``time.sleep`` this thread makes from here on."""
+    polls, sleeps = [], []
+    real_get, real_sleep = requests.get, time.sleep
+    this = threading.current_thread()
+
+    def get(url, **kwargs):
+        polls.append(kwargs)
+        return real_get(url, **kwargs)
+
+    def sleep(seconds):
+        if threading.current_thread() is this:
+            sleeps.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setattr(time, "sleep", sleep)
+    return polls, sleeps
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +206,50 @@ class TestModelAPIOverHttp:
         assert len(polls) == 1
         assert time.monotonic() - started < 5.0
 
+    def test_a_task_is_one_status_request_and_no_sleep(
+            self, demo_workspace, server, publisher, monkeypatch):
+        polls, sleeps = count_polls(monkeypatch)
+        api = ModelAPI(address=server.address, token=publisher.token)
+        assert api.conversion(absolute_config(
+            demo_workspace, "conversion.yaml")).status == "succeeded"
+        assert len(polls) == 1
+        assert 59 < polls[0]["params"]["wait"] <= 60
+        assert sleeps == []
+
     def test_a_task_that_outlasts_the_timeout_raises(
             self, demo_workspace, server, publisher, monkeypatch):
         release = hold_tasks(server)
         monkeypatch.setattr(client, "_POLL_TIMEOUT", 0.3)
+        polls, sleeps = count_polls(monkeypatch)
         api = ModelAPI(address=server.address, token=publisher.token)
+        started = time.monotonic()
         try:
             with pytest.raises(HpcfairError, match="did not finish within"):
                 api.conversion(absolute_config(demo_workspace,
                                                "conversion.yaml"))
         finally:
             release.set()
+        # the server held the one poll until the deadline
+        assert len(polls) == 1 and sleeps == []
+        assert time.monotonic() - started >= 0.3
+
+    def test_a_server_that_never_answers_times_out(self, demo_workspace,
+                                                   monkeypatch):
+        monkeypatch.setattr(client, "_TIMEOUT", 0.2)
+        with socket.socket() as silent:  # accepts, never replies
+            silent.bind(("127.0.0.1", 0))
+            silent.listen()
+            address = "http://127.0.0.1:%d" % silent.getsockname()[1]
+            started = time.monotonic()
+            with pytest.raises(HpcfairError, match=address) as err:
+                request(address, "GET", "/v1/search")
+            assert err.value.code == "connection_error"
+            api = ModelAPI(address=address, token="t")
+            with pytest.raises(HpcfairError, match=address) as err:
+                api.conversion(absolute_config(demo_workspace,
+                                               "conversion.yaml"))
+            assert err.value.code == "connection_error"
+        assert time.monotonic() - started < 5.0
 
     def test_reply_without_envelope_names_the_address(self, monkeypatch):
         reply = requests.Response()

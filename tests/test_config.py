@@ -173,13 +173,16 @@ class TestValidate:
         assert not report.ok
         assert any("model_name" in v for v in report.violations)
 
+    PATHS = "a non-empty path or a non-empty list of non-empty paths"
+
     @pytest.mark.parametrize("key, value, noun", [
-        ("model_file", 5, "a path or a non-empty list of paths"),
-        ("model_file", ["m.onnx", 5], "a path or a non-empty list of paths"),
-        ("model_file", "a\0b", "a path or a non-empty list of paths"),
+        ("model_file", 5, PATHS),
+        ("model_file", ["m.onnx", 5], PATHS),
+        ("model_file", "a\0b", PATHS),
         ("input", "", "a non-empty path"),
         ("input", [5], "a non-empty path"),
         ("onnx_version", "10", "a positive integer"),
+        ("model_file", ["m.onnx", ""], PATHS),
     ])
     def test_task_argument_of_the_wrong_kind_is_reported(self, key, value,
                                                          noun):

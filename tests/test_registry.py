@@ -10,7 +10,8 @@ import threading
 import pytest
 
 import oracle
-from hpcfair._canonical import dumps_canonical, read_records
+from hpcfair._canonical import append_records, dumps_canonical, \
+    read_records
 from hpcfair.errors import (
     AuthError,
     DuplicateContentError,
@@ -208,9 +209,56 @@ class TestAuth:
 
     def test_zero_ttl_token_is_expired(self, store):
         cred = store.issue_token("dave", "reader", 0)
+        for handle in (store, Registry(store.root)):  # index, and catch-up
+            with pytest.raises(AuthError) as err:
+                handle.authenticate(cred)
+            assert err.value.code == "expired_token"
+
+    def test_issued_rows_are_unsalted(self, store):
+        store.issue_token("carol", "reader", 3600)
+        store.issue_token("dave", "publisher", 3600)
+        _, rows = read_records(store.token_file)
+        assert [row["salt"] for row in rows] == ["", ""]
+
+    def test_unsalted_token_is_one_hash(self, store, monkeypatch):
+        creds = [store.issue_token(f"user{i}", "reader", 3600)
+                 for i in range(50)]
+        calls = []
+        real = Registry._hash_token
+
+        def counted(salt, token):
+            calls.append(salt)
+            return real(salt, token)
+
+        monkeypatch.setattr(Registry, "_hash_token", staticmethod(counted))
+        assert store.authenticate(creds[-1]) == ("user49", "reader")
+        assert calls == [""]
+
+    def test_salted_row_of_an_older_store_authenticates(self, store):
+        store.issue_token("carol", "reader", 3600)
+        salt = "0123456789abcdef"
+        live, expired = "a" * 64, "b" * 64
+        append_records(store.token_file, [
+            {"token_hash": Registry._hash_token(salt, token), "salt": salt,
+             "account": "old", "role": "publisher", "expires_at": expires}
+            for token, expires in ((live, "2999-01-01T00:00:00+00:00"),
+                                   (expired, "2000-01-01T00:00:00+00:00"))])
+        assert store.authenticate(live) == ("old", "publisher")
+        assert Registry(store.root).authenticate(live) == \
+            ("old", "publisher")
         with pytest.raises(AuthError) as err:
-            store.authenticate(cred)
+            store.authenticate(expired)
         assert err.value.code == "expired_token"
+        with pytest.raises(AuthError) as err:
+            store.authenticate("c" * 64)
+        assert err.value.code == "unknown_token"
+
+    def test_token_of_another_handle_is_found_at_the_next_call(self,
+                                                               store):
+        with pytest.raises(AuthError):
+            store.authenticate("f" * 64)
+        cred = Registry(store.root).issue_token("frank", "publisher", 3600)
+        assert store.authenticate(cred) == ("frank", "publisher")
 
     def test_reader_cannot_publish(self, store, reader):
         with pytest.raises(AuthError) as err:

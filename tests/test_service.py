@@ -1,6 +1,7 @@
 """HTTP service: upload, fetch, search, and async task endpoints."""
 
 import json
+import re
 import socket
 import threading
 import time
@@ -239,8 +240,24 @@ class TestTaskEndpoints:
             headers={"Authorization": f"Bearer {publisher.token}"})
         assert r.status_code == 400
         assert r.json()["data"]["violations"] == [
-            "inference: task_args.model_file must be a path or a non-empty "
-            "list of paths"]
+            "inference: task_args.model_file must be a non-empty path or a "
+            "non-empty list of non-empty paths"]
+
+    @pytest.mark.parametrize("name, key", [
+        ("conversion.yaml", "model_file"), ("container.yaml", "work_dir"),
+        ("container.yaml", "build_file")])
+    def test_empty_path_is_400(self, demo_workspace, server, publisher,
+                               name, key):
+        # "" would name the config's own directory on the server
+        text = re.sub(rf"(?m)^(  {key}: ).*$", r'\1""',
+                      absolute_config(demo_workspace, name).read_text())
+        r = requests.post(
+            f"{server.address}/v1/tasks", data=text.encode(),
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 400
+        assert r.json()["error"]["code"] == "invalid_config"
+        assert any(f"{key} must be a non-empty path" in v
+                   for v in r.json()["data"]["violations"])
 
     def test_deeply_nested_config_is_400_not_500(self, server, publisher):
         r = requests.post(

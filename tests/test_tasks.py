@@ -148,6 +148,19 @@ class TestDispatch:
             assert "out_args.export_file must be a path or a list of " \
                 "paths" in result.error["message"]
 
+    @pytest.mark.parametrize("name, key", [
+        ("conversion.yaml", "model_file"), ("container.yaml", "work_dir"),
+        ("container.yaml", "build_file")])
+    def test_empty_path_is_an_invalid_config(self, demo_workspace, name,
+                                             key):
+        # "" would resolve to the config's own directory
+        cfg = load_config(demo_workspace.root / name)
+        cfg.task_args[key] = ""
+        result = Dispatcher().dispatch(cfg)
+        assert result.status == "failed"
+        assert result.error["code"] == "invalid_config"
+        assert f"{key} must be a non-empty path" in result.error["message"]
+
     def test_concurrent_submissions_claim_one_path_once(self, tmp_path):
         # the work dir is missing, so the one task holding the claim fails
         # fast with a sandbox error and every other with a collision
