@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from ._canonical import INT, LIST, NAME, OBJECT, POSITIVE, STR, Kind, check, \
     fields, loads_canonical
@@ -28,7 +31,7 @@ from .config import TaskConfig, as_list
 from .errors import ConfigError, ConversionError, MalformedDocumentError, \
     UnknownBackendError
 from .interchange import GraphNode, InterchangeGraph, Tensor, _expect, \
-    infer_shapes, quantize, serialize_graph, validate_graph
+    infer_shapes, numbers, serialize_graph, validate_graph
 
 logger = logging.getLogger(__name__)
 
@@ -40,14 +43,12 @@ _DAG_OPS = ("dense",) + _ACTIVATIONS + ("softmax", "concat")
 _ACT_OP = {"relu": "Relu", "sigmoid": "Sigmoid", "tanh": "Tanh",
            "softmax": "Softmax"}
 
-Matrix = tuple[tuple[float, ...], ...]
-
 
 @dataclass(frozen=True)
 class SequentialLayer:
     kind: str  # "linear" | "relu" | "sigmoid" | "tanh" | "softmax"
-    weight: Matrix | None = None  # [out, in]
-    bias: tuple[float, ...] | None = None  # [out]
+    weight: np.ndarray | None = None  # f32 [out, in]
+    bias: np.ndarray | None = None  # f32 [out]
     axis: int | None = None
 
 
@@ -67,8 +68,8 @@ class DagInput:
 class DagNode:
     kind: str  # "dense" | "relu" | "sigmoid" | "tanh" | "softmax" | "concat"
     inbound: tuple[str, ...]
-    kernel: Matrix | None = None  # [in, out]
-    bias: tuple[float, ...] | None = None  # [out]
+    kernel: np.ndarray | None = None  # f32 [in, out]
+    bias: np.ndarray | None = None  # f32 [out]
     axis: int | None = None
 
 
@@ -91,22 +92,17 @@ _NAMES = STR.list(nonempty=True)
 _AXIS = {"axis": INT}
 
 
-def _parse_matrix(raw: Any, where: str) -> Matrix:
+def _parse_matrix(raw: Any, where: str) -> np.ndarray:
     check(raw, _MATRIX, where, MalformedDocumentError)
     _expect(all(len(row) == len(raw[0]) for row in raw),
             f"{where} rows have unequal lengths")
-    return tuple(tuple(_parse_number(x, where) for x in row) for row in raw)
+    flat = numbers(list(chain.from_iterable(raw)), "f32", where)
+    return flat.reshape(len(raw), len(raw[0]))
 
 
-def _parse_vector(raw: Any, where: str) -> tuple[float, ...]:
-    check(raw, _ROW, where, MalformedDocumentError)
-    return tuple(_parse_number(x, where) for x in raw)
-
-
-def _parse_number(x: Any, where: str) -> float:
-    _expect(isinstance(x, (int, float)) and not isinstance(x, bool),
-            f"{where} must contain numbers")
-    return quantize(float(x), "f32")
+def _parse_vector(raw: Any, where: str) -> np.ndarray:
+    return numbers(check(raw, _ROW, where, MalformedDocumentError), "f32",
+                   where)
 
 
 def parse_sequential(data: bytes | str) -> SequentialCheckpoint:
@@ -208,18 +204,12 @@ def _check_model_name(model_name: str) -> None:
             f"model name {model_name!r} must be non-empty and contain no '/'")
 
 
-def _weight_tensors(prefix: str, columns_by_row: Matrix,
-                    bias: tuple[float, ...]) -> tuple[Tensor, Tensor]:
+def _weight_tensors(prefix: str, columns_by_row: np.ndarray,
+                    bias: np.ndarray) -> tuple[Tensor, Tensor]:
     # columns_by_row is already [in, out]; callers transpose if needed
-    n_in, n_out = len(columns_by_row), len(columns_by_row[0])
-    flat = tuple(x for row in columns_by_row for x in row)
-    weight = Tensor(f"{prefix}/weight", "f32", (n_in, n_out), flat)
-    bias_t = Tensor(f"{prefix}/bias", "f32", (1, n_out), tuple(bias))
-    return weight, bias_t
-
-
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
+    return (Tensor(f"{prefix}/weight", "f32", columns_by_row.shape,
+                   columns_by_row.ravel().tolist()),
+            Tensor(f"{prefix}/bias", "f32", (1, len(bias)), bias.tolist()))
 
 
 def convert_sequential(ckpt: SequentialCheckpoint, model_name: str,
@@ -254,7 +244,7 @@ def convert_sequential(ckpt: SequentialCheckpoint, model_name: str,
                 raise ConversionError(
                     f"{prefix}: expects {n_in} inputs but the preceding "
                     f"layer produces {width}")
-            weight, bias = _weight_tensors(prefix, _transpose(layer.weight),
+            weight, bias = _weight_tensors(prefix, layer.weight.T,
                                            layer.bias)
             initializers += [weight, bias]
             nodes.append(GraphNode(f"{prefix}/matmul", "MatMul",

@@ -14,8 +14,6 @@ graphs can be shared freely across threads.
 from __future__ import annotations
 
 import heapq
-import math
-import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -33,7 +31,8 @@ from .errors import (
     ValidationReport,
 )
 
-DTYPES = ("f32", "f64", "i64")
+NP_DTYPES = {"f32": np.float32, "f64": np.float64, "i64": np.int64}
+DTYPES = tuple(NP_DTYPES)  # a tuple: `in` must not hash an unhashable dtype
 _DIMS = DIM.list()
 _INTS = INT.list()
 _ATTR = Kind("an integer, integer sequence or string", "attributes",
@@ -177,16 +176,7 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
         if spec is None:
             v.append(f"node '{node.id}' has unknown op_type '{node.op_type}'")
         else:
-            if spec.n_inputs is not None and len(node.inputs) != spec.n_inputs:
-                v.append(f"node '{node.id}' ({node.op_type}) expects "
-                         f"{spec.n_inputs} inputs, has {len(node.inputs)}")
-            if spec.n_inputs is None and len(node.inputs) < spec.min_inputs:
-                v.append(f"node '{node.id}' ({node.op_type}) expects at least "
-                         f"{spec.min_inputs} inputs, has {len(node.inputs)}")
-            if len(node.outputs) != spec.n_outputs:
-                v.append(f"node '{node.id}' ({node.op_type}) expects "
-                         f"{spec.n_outputs} outputs, has {len(node.outputs)}")
-            v.extend(_missing_attributes(node, spec))
+            v.extend(_contract_violations(node, spec))
         for key, value in node.attributes.items():
             if not _ATTR.test(value):
                 v.append(f"node '{node.id}' attribute '{key}' must be an "
@@ -404,20 +394,30 @@ def op_spec(node: GraphNode) -> OpSpec:
 # shape inference
 
 
-def _missing_attributes(node: GraphNode, spec: OpSpec) -> list[str]:
-    return [f"node '{node.id}' ({node.op_type}) is missing required "
-            f"attribute '{attr}'" for attr in spec.required_attrs
-            if attr not in node.attributes]
+def _contract_violations(node: GraphNode, spec: OpSpec) -> list[str]:
+    """How the node breaks its op's arity, output count and attributes."""
+    head = f"node '{node.id}' ({node.op_type})"
+    n_in, n_out = len(node.inputs), len(node.outputs)
+    v = []
+    if spec.n_inputs not in (None, n_in):
+        v.append(f"{head} expects {spec.n_inputs} inputs, has {n_in}")
+    if spec.n_inputs is None and n_in < spec.min_inputs:
+        v.append(f"{head} expects at least {spec.min_inputs} inputs, "
+                 f"has {n_in}")
+    if n_out != spec.n_outputs:
+        v.append(f"{head} expects {spec.n_outputs} outputs, has {n_out}")
+    return v + [f"{head} is missing required attribute '{attr}'"
+                for attr in spec.required_attrs if attr not in node.attributes]
 
 
 def node_output_shapes(node: GraphNode,
                        input_shapes: Sequence[Shape]) -> list[Shape]:
     """The op's shape rule; raises ShapeMismatchError naming the node, or
-    InvalidGraphError for a missing required attribute."""
+    InvalidGraphError for a node that breaks its op's contract."""
     spec = op_spec(node)
-    missing = _missing_attributes(node, spec)
-    if missing:
-        raise InvalidGraphError(missing[0])
+    violations = _contract_violations(node, spec)
+    if violations:
+        raise InvalidGraphError(violations[0])
     try:
         return [spec.shape_rule(node.attributes, input_shapes)]
     except _Expected as exc:
@@ -541,29 +541,33 @@ def _parse_tensor(doc: Any, *, with_data: bool, where: str) -> Tensor:
         _expect(len(data[0]) == shape_numel(shape),
                 f"tensor '{name}': data length {len(data[0])} does not match "
                 f"shape {shape}")
-        data = [tuple(_parse_scalar(x, dtype, name) for x in data[0])]
+        data = [tuple(numbers(data[0], dtype, f"tensor '{name}'").tolist())]
     return Tensor(name, dtype, tuple(shape), *data)
 
 
-def _parse_scalar(x: Any, dtype: str, name: str) -> float | int:
-    _expect(isinstance(x, (int, float)) and not isinstance(x, bool),
-            f"tensor '{name}': data values must be numbers")
-    if dtype == "i64":
-        _expect(isinstance(x, int), f"tensor '{name}': i64 data must be integers")
-        return int(x)
-    return quantize(float(x), dtype)
+def numbers(raw: list, dtype: str, where: str) -> np.ndarray:
+    """A document's number list as a flat ``dtype`` array, checked at once.
 
-
-def quantize(x: float, dtype: str) -> float:
-    """Snap a value onto the dtype's representable grid (f32 narrowing).
-
-    Non-finite results (NaN, infinities, f32 overflow) have no canonical
-    JSON form and are rejected as malformed input.
+    Items are ints or floats, not bools; i64 items are ints in [-2**63,
+    2**63).  Floats pass through float64, so f32 values snap onto the f32
+    grid.  A value with no finite ``dtype`` form (NaN, an infinity, an int
+    beyond every float) has no JSON form and is rejected, the first named.
     """
-    y = struct.unpack("f", struct.pack("f", x))[0] if dtype == "f32" else x
-    if not math.isfinite(y):
-        raise MalformedDocumentError(f"value {x!r} is not a finite {dtype}")
-    return y
+    kinds = set(map(type, raw))
+    _expect(kinds <= {int, float}, f"{where}: data values must be numbers")
+    _expect(dtype != "i64" or float not in kinds,
+            f"{where}: i64 data must be integers")
+    wide = np.int64 if dtype == "i64" else np.float64
+    try:  # OverflowError: an int beyond the range of int64 or float64
+        with np.errstate(over="ignore"):  # f32 overflow is an infinity
+            values = np.array(raw, wide).astype(NP_DTYPES[dtype], copy=False)
+        if np.isfinite(values).all():
+            return values
+    except OverflowError:
+        pass
+    for x in raw if len(raw) > 1 else ():  # the first that fails alone
+        numbers([x], dtype, where)
+    raise MalformedDocumentError(f"value {raw[0]!r} is not a finite {dtype}")
 
 
 def parse_graph(data: bytes | str) -> InterchangeGraph:

@@ -29,6 +29,7 @@ from .errors import (
     UnknownBackendError,
 )
 from .interchange import (
+    NP_DTYPES,
     GraphNode,
     InterchangeGraph,
     Tensor,
@@ -43,8 +44,6 @@ from .interchange import (
 )
 
 logger = logging.getLogger(__name__)
-
-_NP_DTYPES = {"f32": np.float32, "f64": np.float64, "i64": np.int64}
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def parse_tensor_set(data: bytes | str) -> NamedTensorSet:
 def to_array(t: Tensor) -> np.ndarray:
     if t.data is None:
         raise ExecutionError(f"tensor '{t.name}' carries no data")
-    return np.array(t.data, dtype=_NP_DTYPES[t.dtype]).reshape(t.shape)
+    return np.array(t.data, dtype=NP_DTYPES[t.dtype]).reshape(t.shape)
 
 
 def from_array(name: str, dtype: str, arr: np.ndarray) -> Tensor:

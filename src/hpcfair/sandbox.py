@@ -230,7 +230,7 @@ def run_container(image: ImageRecord, run_root: str | Path,
     """Execute the image entrypoint in a private copy of the staged tree.
 
     Nonzero exit and missing declared outputs are recorded on the RunRecord,
-    not raised; a missing entrypoint program is a hard error.
+    not raised; an entrypoint that cannot be started is a hard error.
     """
     manifest = image.manifest
     run_id = "run-" + secrets.token_hex(8)
@@ -258,6 +258,8 @@ def run_container(image: ImageRecord, run_root: str | Path,
                                   capture_output=True, text=True, timeout=60)
         except FileNotFoundError:
             raise SandboxError(f"entrypoint program not found: {argv[0]}")
+        except OSError as exc:  # say, a file without execute permission
+            raise SandboxError(f"entrypoint cannot be executed: {exc}")
         except subprocess.TimeoutExpired:
             raise SandboxError(f"entrypoint timed out: {manifest.entrypoint}")
     except BaseException:  # no runs.log record will name this workspace

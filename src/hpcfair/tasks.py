@@ -23,7 +23,7 @@ from typing import Any, Sequence
 
 from .config import TaskConfig, is_path, serialize_config, validate_config
 from .converters import run_conversion_task
-from .errors import CollisionError, HpcfairError
+from .errors import CollisionError, ConfigError, HpcfairError
 from .runtime import run_inference_task
 from .sandbox import run_container_task
 
@@ -114,7 +114,8 @@ class Dispatcher:
         return self.execute(cfg, self.submit(cfg))
 
     def execute(self, cfg: TaskConfig, task_id: str) -> TaskResult:
-        """Validate and run a submitted task, then release its claim."""
+        """Validate and run a submitted task, then release its claim; an
+        export path that is an existing directory fails it as invalid."""
         with self._lock:
             paths, collision = self._queued.pop(task_id)
         log = [f"{_now()} task {task_id} accepted"]
@@ -125,9 +126,12 @@ class Dispatcher:
                     task_id, "failed", log=tuple(log),
                     error={"code": "invalid_config",
                            "message": "; ".join(report.violations)})
-            if collision is not None:
+            refused = collision or next(
+                (ConfigError(f"export path is a directory: {path}")
+                 for path in paths if Path(path).is_dir()), None)
+            if refused is not None:
                 return TaskResult(task_id, "failed", log=tuple(log),
-                                  error=collision.to_dict())
+                                  error=refused.to_dict())
             return self._route(cfg, task_id, log)
         finally:
             self._release(paths)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 
 REL_TOL = 1e-6
 ABS_FLOOR = 1e-9
@@ -31,6 +32,11 @@ def all_close(xs, ys, rel: float = REL_TOL, floor: float = ABS_FLOOR) -> bool:
     if len(xs) != len(ys):
         return False
     return all(close(x, y, rel, floor) for x, y in zip(xs, ys))
+
+
+def f32(x: float) -> float:
+    """``x`` rounded to the nearest f32, by a struct round trip."""
+    return struct.unpack("f", struct.pack("f", x))[0]
 
 
 def max_rel_err(xs, ys) -> float:

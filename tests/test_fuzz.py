@@ -19,7 +19,7 @@ from hpcfair.converters import parse_layerdag, parse_sequential
 from hpcfair.errors import HpcfairError
 from hpcfair.interchange import parse_graph
 from hpcfair.registry import ArtifactDraft
-from hpcfair.runtime import parse_tensor_set
+from hpcfair.runtime import parse_tensor_set, to_array
 from hpcfair.sandbox import parse_manifest
 from hpcfair.server import _parse_search
 from hpcfair.tasks import Dispatcher
@@ -30,8 +30,15 @@ FUZZ = settings(max_examples=60, deadline=None)
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.text(max_size=8))
+# numbers at and past the edge of every dtype: integers of 309 or more
+# digits (beyond f32, and from about 1.8e308 beyond every float), just
+# outside i64, and the NaN and Infinity literals json.dumps writes
+EDGE_NUMBERS = (st.integers(min_value=10 ** 308, max_value=10 ** 400)
+                | st.integers(min_value=-10 ** 400, max_value=-10 ** 308)
+                | st.sampled_from([-2 ** 63 - 1, 2 ** 63, float("nan"),
+                                   float("inf"), float("-inf")]))
 JSON_VALUES = st.recursive(
-    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    SCALARS | EDGE_NUMBERS, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=8)
 # what YAML adds to JSON: dates, binary and keys that are not strings
@@ -127,6 +134,28 @@ def mutated(draw, seed, values, keys=st.text(max_size=8)):
     return doc
 
 
+def number_paths(doc, path=()):
+    """Paths of every number in ``doc``."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from number_paths(value, path + (key,))
+    elif type(doc) in (int, float):
+        yield path
+
+
+@st.composite
+def renumbered(draw, seed):
+    """``seed`` with one of its numbers replaced by an edge number."""
+    doc = json.loads(json.dumps(seed))
+    *path, last = draw(st.sampled_from(list(number_paths(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = draw(EDGE_NUMBERS)
+    return doc
+
+
 def typed(call, *args):
     """The call's result, or None for a typed error; any other escapes."""
     try:
@@ -139,6 +168,7 @@ def json_inputs(seed):
     return st.one_of(
         st.builds(json.dumps, JSON_VALUES),
         st.builds(json.dumps, mutated(seed, JSON_VALUES)),
+        st.builds(json.dumps, renumbered(seed)),
         st.binary(max_size=40))
 
 
@@ -152,13 +182,19 @@ def yaml_inputs(seed):
 @FUZZ
 @given(json_inputs(GRAPH))
 def test_parse_graph_raises_only_typed_errors(data):
-    typed(parse_graph, data)
+    graph = typed(parse_graph, data)
+    if graph is not None:  # what parses also runs: data fits its dtype
+        for tensor in graph.initializers:
+            to_array(tensor)
 
 
 @FUZZ
 @given(json_inputs(TENSORS))
 def test_parse_tensor_set_raises_only_typed_errors(data):
-    typed(parse_tensor_set, data)
+    tensors = typed(parse_tensor_set, data)
+    if tensors is not None:
+        for name in tensors.names():
+            to_array(tensors[name])
 
 
 @FUZZ

@@ -23,7 +23,6 @@ from hpcfair.interchange import (
     infer_shapes,
     node_output_shapes,
     parse_graph,
-    quantize,
     serialize_graph,
     topo_sort,
     validate_graph,
@@ -259,7 +258,12 @@ class TestShapes:
          "missing required attribute 'axis'"),
         (GraphNode("n", "Reshape", ("x",), ("y",)),
          "missing required attribute 'target_shape'"),
-    ], ids=["unknown-input", "softmax", "concat", "reshape"])
+        (GraphNode("n", "MatMul", ("x", "x", "x"), ("y",)),
+         "expects 2 inputs, has 3"),
+        (GraphNode("n", "Relu", ("x",), ("y", "z")),
+         "expects 1 outputs, has 2"),
+    ], ids=["unknown-input", "softmax", "concat", "reshape", "arity",
+            "outputs"])
     def test_graph_the_validator_rejects_is_an_invalid_graph(self, node,
                                                               match):
         g = InterchangeGraph(
@@ -352,7 +356,7 @@ class TestSerialization:
             "nodes": [], "doc": None,
         }
         g = parse_graph(json.dumps(doc))
-        assert g.initializers[0].data[0] == quantize(value, "f32")
+        assert g.initializers[0].data[0] == oracle.f32(value)
         assert g.initializers[0].data[0] != value
 
     @pytest.mark.parametrize("dtype,value", [
@@ -375,7 +379,7 @@ class TestSerialization:
             initializers=(Tensor("c", "f32", (1,), (value,)),),
         )
         parsed = parse_graph(serialize_graph(g))
-        assert parsed.initializers[0].data[0] == quantize(value, "f32")
+        assert parsed.initializers[0].data[0] == oracle.f32(value)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from hpcfair.interchange import (
     GraphNode,
     InterchangeGraph,
     Tensor,
-    quantize,
     serialize_graph,
 )
 from hpcfair.runtime import (
@@ -193,10 +192,24 @@ class TestTensorSetFiles:
         {"name": "x", "dtype": "f32", "shape": [1], "data": [1e39]},
         {"name": "x", "dtype": "f32", "shape": [1]},
         {"name": "x", "dtype": "f32", "shape": [1], "data": [1.0], "y": 1},
+        {"name": "x", "dtype": "i64", "shape": [1], "data": [2 ** 63]},
+        {"name": "x", "dtype": "i64", "shape": [1], "data": [-2 ** 63 - 1]},
     ])
     def test_malformed_entries_rejected(self, entry):
         with pytest.raises(MalformedDocumentError):
             parse_tensor_set(json.dumps([entry]))
+
+    @pytest.mark.parametrize("value", [2 ** 63 - 1, -2 ** 63])
+    def test_i64_at_the_edge_of_its_range_runs(self, value):
+        g = InterchangeGraph(
+            name="id", ir_version=1,
+            inputs=(Tensor("x", "i64", (1,)),),
+            outputs=(Tensor("y", "i64", (1,)),),
+            nodes=(GraphNode("n", "Identity", ("x",), ("y",)),),
+        )
+        ts = parse_tensor_set(json.dumps([{"name": "x", "dtype": "i64",
+                                           "shape": [1], "data": [value]}]))
+        assert execute(g, ts)["y"].data == (value,)
 
     def test_non_finite_literal_rejected(self):
         doc = '[{"name": "x", "dtype": "f64", "shape": [1], "data": [NaN]}]'
@@ -211,7 +224,7 @@ class TestTensorSetFiles:
 
     def test_f32_values_snap_at_parse(self):
         doc = '[{"name": "x", "dtype": "f32", "shape": [1], "data": [0.1]}]'
-        assert parse_tensor_set(doc)["x"].data == (quantize(0.1, "f32"),)
+        assert parse_tensor_set(doc)["x"].data == (oracle.f32(0.1),)
 
     def test_serialization_is_canonical(self):
         ts1 = NamedTensorSet.from_tensors([t("b", (1,), (2.0,)),

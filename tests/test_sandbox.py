@@ -25,6 +25,7 @@ from hpcfair.sandbox import (
     run_container,
     run_container_task,
 )
+from hpcfair.tasks import Dispatcher
 
 from conftest import write_container_project
 
@@ -362,6 +363,19 @@ class TestContainerTask:
         cfg = load_config(demo_workspace.root / "container.yaml")
         with pytest.raises(SandboxError, match="run_container: .*boom"):
             run_container_task(cfg)
+
+    def test_entrypoint_that_cannot_be_executed_is_a_sandbox_error(
+            self, demo_workspace):
+        root = demo_workspace.root
+        build = root / "project_dir" / "build.yaml"
+        # data.txt exists but has no execute permission
+        build.write_text(build.read_text().replace(
+            "entrypoint: python3 gen.py", "entrypoint: ./data.txt"))
+        result = Dispatcher().dispatch(load_config(root / "container.yaml"))
+        assert result.status == "failed"
+        assert result.error["code"] == "sandbox_error"
+        assert "entrypoint cannot be executed" in result.error["message"]
+        assert list((root / "store" / "runs").iterdir()) == []
 
     @pytest.mark.parametrize("script, exit_status", [
         (None, 0),

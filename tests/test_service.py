@@ -92,6 +92,19 @@ class TestArtifactEndpoints:
         assert r.status_code == 401
         assert r.json()["error"]["code"] == "unauthorized"
 
+    def test_weight_beyond_every_float_is_400_and_stores_nothing(
+            self, server, store, publisher):
+        assert push(server, publisher.token).status_code == 201
+        log = store.root / "meta.log"
+        before = log.read_bytes()
+        content = (b'{"format_tag": "pt-ckpt-v1", "layers": [{"kind": '
+                   b'"linear", "weight": [[1' + b"0" * 400
+                   + b']], "bias": [0]}]}')  # a 401-digit integer
+        r = push(server, publisher.token, content=content)
+        assert r.status_code == 400
+        assert r.json()["error"]["code"] == "invalid_artifact"
+        assert log.read_bytes() == before
+
     def test_reader_push_is_403(self, server, reader):
         r = push(server, reader.token)
         assert r.status_code == 403
@@ -322,6 +335,20 @@ class TestTaskEndpoints:
         assert r.status_code == 400
         assert "out_args.export_file must be a path or a list of paths" \
             in r.json()["data"]["violations"]
+
+
+    def test_export_onto_a_directory_is_a_failed_task(
+            self, demo_workspace, server, publisher):
+        (demo_workspace.root / "out_container.txt").mkdir()
+        r = requests.post(
+            f"{server.address}/v1/tasks",
+            data=absolute_config(demo_workspace,
+                                 "container.yaml").read_bytes(),
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 202
+        result = poll_task(server, r.json()["data"]["task_id"])
+        assert result["status"] == "failed"
+        assert result["error"]["code"] == "invalid_config"
 
 
 class TestTaskWait:

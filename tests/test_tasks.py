@@ -97,6 +97,26 @@ class TestDispatch:
         assert result.status == "failed"
         assert result.error["code"] == "malformed_document"
 
+    @pytest.mark.parametrize("name, export", [
+        ("conversion.yaml", "decoder.onnx"), ("collaboration.yaml", "out.txt"),
+        ("container.yaml", "out_container.txt")])
+    def test_export_onto_a_directory_is_an_invalid_config(
+            self, demo_workspace, name, export):
+        d = Dispatcher()
+        if name == "collaboration.yaml":  # its models must exist
+            assert d.dispatch(conversion_cfg(demo_workspace)).status \
+                == "succeeded"
+        directory = demo_workspace.root / export
+        directory.mkdir()
+        result = d.dispatch(load_config(demo_workspace.root / name))
+        assert result.status == "failed"
+        assert result.error == {
+            "code": "invalid_config",
+            "message": f"export path is a directory: {directory}"}
+        assert not any("routing" in line for line in result.log)
+        if name == "conversion.yaml":  # nothing ran, so nothing is written
+            assert not (demo_workspace.root / "encoder.onnx").exists()
+
     def test_container_task_logs_run_line(self, demo_workspace):
         result = Dispatcher().dispatch(
             load_config(demo_workspace.root / "container.yaml"))
