@@ -1,6 +1,7 @@
 """Task dispatch: route validated configs to their executors.
 
-The dispatcher owns a monotone task counter and the export-path claim table.
+The dispatcher owns a monotone task counter, the export-path claim table
+and the cache of prepared inference plans.
 Every task enters through ``submit``, which takes its id and claims its
 export paths in one hold of the lock; ``execute`` then validates and runs it
 and releases the claim however it ends.  ``dispatch``, ``submit_many`` and
@@ -24,7 +25,7 @@ from typing import Any, Sequence
 from .config import TaskConfig, is_path, serialize_config, validate_config
 from .converters import run_conversion_task
 from .errors import CollisionError, ConfigError, HpcfairError
-from .runtime import run_inference_task
+from .runtime import PlanCache, run_inference_task
 from .sandbox import run_container_task
 
 logger = logging.getLogger(__name__)
@@ -49,7 +50,19 @@ class TaskResult:
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    now = datetime.now(timezone.utc)  # to the millisecond
+    return f"{now:%Y-%m-%dT%H:%M:%S}.{now.microsecond // 1000:03d}Z"
+
+
+def _unwritable(path: str) -> str | None:
+    """Why a task could never write its export to ``path``, if it could not."""
+    if Path(path).is_dir():
+        return f"export path is a directory: {path}"
+    # only the nearest existing ancestor can be a file; above a directory
+    # there are only directories
+    if next(up for up in Path(path).parents if up.exists()).is_file():
+        return f"export path lies under a regular file: {path}"
+    return None
 
 
 class Dispatcher:
@@ -64,6 +77,7 @@ class Dispatcher:
         self._active_paths: set[str] = set()
         # submitted, not yet executing: task id -> (claimed paths, collision)
         self._queued: dict[str, tuple[list[str], CollisionError | None]] = {}
+        self._plans = PlanCache()  # inference plans, by model digests
 
     def next_task_id(self, cfg: TaskConfig) -> str:
         digest = hashlib.sha256(serialize_config(cfg)).hexdigest()[:8]
@@ -115,7 +129,8 @@ class Dispatcher:
 
     def execute(self, cfg: TaskConfig, task_id: str) -> TaskResult:
         """Validate and run a submitted task, then release its claim; an
-        export path that is an existing directory fails it as invalid."""
+        export path that is an existing directory, or lies under a regular
+        file, fails it as invalid."""
         with self._lock:
             paths, collision = self._queued.pop(task_id)
         log = [f"{_now()} task {task_id} accepted"]
@@ -127,8 +142,8 @@ class Dispatcher:
                     error={"code": "invalid_config",
                            "message": "; ".join(report.violations)})
             refused = collision or next(
-                (ConfigError(f"export path is a directory: {path}")
-                 for path in paths if Path(path).is_dir()), None)
+                (ConfigError(problem) for problem in map(_unwritable, paths)
+                 if problem), None)
             if refused is not None:
                 return TaskResult(task_id, "failed", log=tuple(log),
                                   error=refused.to_dict())
@@ -145,7 +160,8 @@ class Dispatcher:
                 written = run_conversion_task(cfg)
                 outputs = tuple(str(p) for p in written)
             elif task == "inference":
-                out = run_inference_task(cfg, store=self.store)
+                out = run_inference_task(cfg, store=self.store,
+                                         plans=self._plans)
                 outputs = (str(out),)
             else:
                 export, record = run_container_task(

@@ -1,5 +1,6 @@
 """Kernel semantics, graph execution, and the inference task."""
 
+import dataclasses
 import json
 import logging
 import textwrap
@@ -12,8 +13,10 @@ from hpcfair.converters import run_conversion_task
 from hpcfair.errors import (
     ConfigError,
     ExecutionError,
+    InvalidGraphError,
     MalformedDocumentError,
     MissingTensorError,
+    ShapeMismatchError,
     UnknownOperatorError,
 )
 from hpcfair.interchange import (
@@ -28,6 +31,7 @@ from hpcfair.runtime import (
     apply_node,
     execute,
     parse_tensor_set,
+    prepare,
     run_inference_task,
     serialize_tensor_set,
 )
@@ -166,6 +170,78 @@ class TestExecute:
         b = serialize_tensor_set(execute(
             linear_graph(), NamedTensorSet.from_tensors([x])))
         assert a == b
+
+
+class TestPlan:
+    def test_initializer_is_unchanged_by_runs_of_its_views(self):
+        w = t("w", (2, 2), (1.0, -2.0, 3.5, 0.0))
+        g = InterchangeGraph(
+            name="views", ir_version=1,
+            inputs=(Tensor("x", "f32", (2, 2)),),
+            outputs=(Tensor("same", "f32", (2, 2)),
+                     Tensor("flat", "f32", (4,)),
+                     Tensor("sum", "f32", (2, 2))),
+            initializers=(w,),
+            nodes=(
+                GraphNode("a", "Identity", ("w",), ("same",)),
+                GraphNode("b", "Reshape", ("w",), ("flat",),
+                          {"target_shape": (4,)}),
+                GraphNode("c", "Add", ("x", "w"), ("sum",)),
+            ),
+        )
+        plan = prepare(g)
+        x = NamedTensorSet.from_tensors([t("x", (2, 2), (1.0,) * 4)])
+        runs = [plan.run(x) for _ in range(2)]
+        for out in runs:
+            assert out["same"].data == out["flat"].data == w.data
+            assert out["sum"].data == (2.0, -1.0, 4.5, 1.0)
+        (held,) = plan.constants
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0] = 9.0
+        assert tuple(held.reshape(-1).tolist()) == w.data
+
+    def test_invalid_graph_is_refused_as_execute_refuses_it(self):
+        g = InterchangeGraph(
+            name="bad", ir_version=1,
+            inputs=(Tensor("x", "f32", (1, 2)),),
+            outputs=(Tensor("y", "f32", (1, 2)),),
+            nodes=(GraphNode("n", "Relu", ("z",), ("y",)),),
+        )
+        message = ("cannot execute invalid graph: node 'n' consumes tensor "
+                   "'z' which is produced nowhere in the graph")
+        with pytest.raises(InvalidGraphError) as prepared:
+            prepare(g)
+        with pytest.raises(InvalidGraphError) as executed:
+            execute(g, NamedTensorSet.from_tensors(
+                [t("x", (1, 2), (1.0, 2.0))]))
+        assert str(prepared.value) == str(executed.value) == message
+
+    def test_a_kernel_result_of_the_wrong_shape_is_refused(self,
+                                                           monkeypatch):
+        monkeypatch.setitem(OPERATORS, "Identity", dataclasses.replace(
+            OPERATORS["Identity"], kernel=lambda _, x: x[0].reshape(-1)))
+        g = InterchangeGraph(
+            name="id", ir_version=1,
+            inputs=(Tensor("x", "f32", (2, 2)),),
+            outputs=(Tensor("y", "f32", (2, 2)),),
+            nodes=(GraphNode("n", "Identity", ("x",), ("y",)),),
+        )
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^node 'n': kernel produced shape \[4\], "
+                                 r"expected \[2, 2\]$"):
+            execute(g, NamedTensorSet.from_tensors(
+                [t("x", (2, 2), (1.0, 2.0, 3.0, 4.0))]))
+
+    def test_a_plan_checks_every_run_inputs(self):
+        plan = prepare(linear_graph())
+        assert plan.run(NamedTensorSet.from_tensors(
+            [t("x", (1, 2), (1.0, 0.0))]))["y"].data == (1.0, 3.0)
+        with pytest.raises(MissingTensorError, match="'x'"):
+            plan.run(NamedTensorSet.from_tensors([]))
+        with pytest.raises(ExecutionError, match="supplied dtype f64"):
+            plan.run(NamedTensorSet.from_tensors(
+                [t("x", (1, 2), (1.0, 0.0), dtype="f64")]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,18 @@ import dataclasses
 import hashlib
 import json
 import re
+import shutil
 import sys
 import threading
 
 import pytest
 
+from hpcfair import runtime
 from hpcfair.config import load_config, serialize_config
+from hpcfair.interchange import compose_graphs, parse_graph
+from hpcfair.registry import ArtifactDraft
+from hpcfair.runtime import NamedTensorSet, execute, parse_tensor_set, \
+    serialize_tensor_set
 from hpcfair.tasks import Dispatcher
 
 from conftest import build_demo_workspace
@@ -99,23 +105,40 @@ class TestDispatch:
 
     @pytest.mark.parametrize("name, export", [
         ("conversion.yaml", "decoder.onnx"), ("collaboration.yaml", "out.txt"),
-        ("container.yaml", "out_container.txt")])
+        ("container.yaml", "out_container.txt"),
+        ("conversion.yaml", "input.txt/decoder.onnx"),
+        ("collaboration.yaml", "input.txt/out.txt"),
+        ("container.yaml", "input.txt/out_container.txt"),
+        ("collaboration.yaml", "input.txt/sub/out.txt")])
     def test_export_onto_a_directory_is_an_invalid_config(
             self, demo_workspace, name, export):
         d = Dispatcher()
         if name == "collaboration.yaml":  # its models must exist
             assert d.dispatch(conversion_cfg(demo_workspace)).status \
                 == "succeeded"
-        directory = demo_workspace.root / export
-        directory.mkdir()
-        result = d.dispatch(load_config(demo_workspace.root / name))
+        cfg = load_config(demo_workspace.root / name)
+        target = demo_workspace.root / export
+        if export.startswith("input.txt/"):  # under a regular file
+            files = cfg.export_files
+            cfg.out["export_file"] = [*files[:-1], export] \
+                if len(files) > 1 else export
+            message = f"export path lies under a regular file: {target}"
+        else:
+            target.mkdir()
+            message = f"export path is a directory: {target}"
+        result = d.dispatch(cfg)
         assert result.status == "failed"
-        assert result.error == {
-            "code": "invalid_config",
-            "message": f"export path is a directory: {directory}"}
+        assert result.error == {"code": "invalid_config", "message": message}
         assert not any("routing" in line for line in result.log)
         if name == "conversion.yaml":  # nothing ran, so nothing is written
             assert not (demo_workspace.root / "encoder.onnx").exists()
+
+    def test_log_lines_are_stamped_to_the_millisecond(self, demo_workspace):
+        result = Dispatcher().dispatch(conversion_cfg(demo_workspace))
+        assert len(result.log) == 3
+        for line in result.log:
+            assert re.match(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z ",
+                            line), line
 
     def test_container_task_logs_run_line(self, demo_workspace):
         result = Dispatcher().dispatch(
@@ -277,3 +300,134 @@ class TestSubmitMany:
         [result] = d.submit_many([cfg])
         assert result.error["message"] \
             == f"export path already claimed by a running task: {held}"
+
+
+class TestPlans:
+    """A Dispatcher keeps one plan per set of model bytes, never stale."""
+
+    def converted(self, ws, store=None) -> Dispatcher:
+        d = Dispatcher(store=store)
+        assert d.dispatch(conversion_cfg(ws)).status == "succeeded"
+        return d
+
+    def count_prepares(self, monkeypatch) -> list:
+        calls = []
+        real = runtime.prepare
+
+        def prepare(graph):
+            calls.append(graph.name)
+            return real(graph)
+        monkeypatch.setattr(runtime, "prepare", prepare)
+        return calls
+
+    def composed(self, ws):
+        encoder, decoder = (parse_graph((ws.root / name).read_bytes())
+                            for name in ("encoder.onnx", "decoder.onnx"))
+        return compose_graphs(encoder, decoder, [
+            (src.name, dst.name)
+            for src, dst in zip(encoder.outputs, decoder.inputs)])
+
+    def uncached_output(self, ws) -> bytes:
+        graph = self.composed(ws)
+        x = parse_tensor_set((ws.root / "input.txt").read_bytes())["x"]
+        return serialize_tensor_set(execute(graph, NamedTensorSet.from_tensors(
+            [x.renamed(graph.inputs[0].name)])))
+
+    def test_a_rerun_pair_is_prepared_once(self, demo_workspace,
+                                           monkeypatch):
+        d = self.converted(demo_workspace)
+        want = self.uncached_output(demo_workspace)
+        prepared = self.count_prepares(monkeypatch)
+        for _ in range(3):
+            assert d.dispatch(collaboration_cfg(demo_workspace)).status \
+                == "succeeded"
+            assert (demo_workspace.root / "out.txt").read_bytes() == want
+        assert prepared == ["encoder+decoder"]
+
+    def test_overwritten_blob_of_a_cached_pid_fails_its_check(
+            self, demo_workspace, store, publisher):
+        d = self.converted(demo_workspace, store)
+        cfg = collaboration_cfg(demo_workspace)
+        cfg.task_args["model_file"] = [
+            store.register_artifact(
+                (demo_workspace.root / name).read_bytes(),
+                ArtifactDraft(name, "model", "onnx"), publisher)[0].pid
+            for name in ("encoder.onnx", "decoder.onnx")]
+        assert d.dispatch(cfg).status == "succeeded"
+        record = store.fetch_metadata(cfg.task_args["model_file"][1])
+        store._blob_path(record.content_hash).write_bytes(
+            (demo_workspace.root / "encoder.onnx").read_bytes())
+        result = d.dispatch(cfg)
+        assert result.status == "failed"
+        assert result.error["code"] == "integrity_failure"
+
+    def test_rewritten_model_file_runs_as_rewritten(self, tmp_path):
+        ws = build_demo_workspace(tmp_path / "a")
+        other = build_demo_workspace(tmp_path / "b", seed=43)
+        d = self.converted(ws)
+        assert d.dispatch(conversion_cfg(other)).status == "succeeded"
+        assert d.dispatch(collaboration_cfg(ws)).status == "succeeded"
+        before = (ws.root / "out.txt").read_bytes()
+        shutil.copyfile(other.root / "decoder.onnx", ws.root / "decoder.onnx")
+        assert d.dispatch(collaboration_cfg(ws)).status == "succeeded"
+        after = (ws.root / "out.txt").read_bytes()
+        assert after != before
+        assert after == self.uncached_output(ws)
+
+    def test_concurrent_copies_match_an_uncached_execute(
+            self, demo_workspace, monkeypatch):
+        d = self.converted(demo_workspace)
+        want = self.uncached_output(demo_workspace)
+        prepared = self.count_prepares(monkeypatch)
+        configs = [collaboration_cfg(demo_workspace) for _ in range(16)]
+        for i, cfg in enumerate(configs):
+            cfg.out["export_file"] = f"out{i}.txt"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = d.submit_many(configs, worker_num=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.status for r in results] == ["succeeded"] * 16
+        for i in range(16):
+            assert (demo_workspace.root / f"out{i}.txt").read_bytes() == want
+        # racing misses may each build; a later run finds the kept plan
+        built = len(prepared)
+        assert 1 <= built <= 8
+        assert d.dispatch(configs[0]).status == "succeeded"
+        assert len(prepared) == built
+
+    def test_plan_over_the_byte_bound_is_not_kept(self, demo_workspace,
+                                                  monkeypatch):
+        d = self.converted(demo_workspace)
+        want = self.uncached_output(demo_workspace)
+        pair = collaboration_cfg(demo_workspace)
+        encoder = dataclasses.replace(
+            pair, general=dataclasses.replace(pair.general, tag=None),
+            task_args=dict(pair.task_args, model_file="encoder.onnx"),
+            out={"export_file": "encoded.txt"})
+        # room for the encoder's plan, not the pair's
+        small = runtime.prepare(parse_graph(
+            (demo_workspace.root / "encoder.onnx").read_bytes())).nbytes
+        assert runtime.prepare(self.composed(demo_workspace)).nbytes > small
+        monkeypatch.setattr(runtime, "_PLAN_BYTES_KEPT", small)
+        prepared = self.count_prepares(monkeypatch)
+        for cfg in (encoder, pair, pair, encoder):
+            assert d.dispatch(cfg).status == "succeeded"
+        assert (demo_workspace.root / "out.txt").read_bytes() == want
+        # the pair ran twice without a kept plan, and evicted nothing
+        assert prepared == ["encoder", "encoder+decoder", "encoder+decoder"]
+
+    def test_least_recently_used_plan_is_dropped_first(self, tmp_path,
+                                                        monkeypatch):
+        first = build_demo_workspace(tmp_path / "a")
+        second = build_demo_workspace(tmp_path / "b", seed=43)
+        d = self.converted(first)
+        assert d.dispatch(conversion_cfg(second)).status == "succeeded"
+        # room for one demo pair's plan, not two
+        one_pair = runtime.prepare(self.composed(first)).nbytes
+        monkeypatch.setattr(runtime, "_PLAN_BYTES_KEPT", one_pair * 3 // 2)
+        prepared = self.count_prepares(monkeypatch)
+        for ws in (first, first, second, second, first):
+            assert d.dispatch(collaboration_cfg(ws)).status == "succeeded"
+        assert len(prepared) == 3
