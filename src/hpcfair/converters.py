@@ -208,8 +208,8 @@ def _weight_tensors(prefix: str, columns_by_row: np.ndarray,
                     bias: np.ndarray) -> tuple[Tensor, Tensor]:
     # columns_by_row is already [in, out]; callers transpose if needed
     return (Tensor(f"{prefix}/weight", "f32", columns_by_row.shape,
-                   columns_by_row.ravel().tolist()),
-            Tensor(f"{prefix}/bias", "f32", (1, len(bias)), bias.tolist()))
+                   columns_by_row),
+            Tensor(f"{prefix}/bias", "f32", (1, len(bias)), bias))
 
 
 def convert_sequential(ckpt: SequentialCheckpoint, model_name: str,

@@ -2,10 +2,11 @@
 
 Converted models are expressed as an :class:`InterchangeGraph`: named tensors,
 a flat list of nodes drawn from a fixed nine-operator set, and weight
-initializers.  The module provides structural validation, deterministic
-topological ordering, shape inference, a canonical byte serialization
-(``.onnx`` files in this system are these documents, not protobuf), and graph
-composition for stitching a producer model into a consumer model.
+initializers, each holding its numbers as one flat, read-only, owned array.
+The module provides structural validation, deterministic topological
+ordering, shape inference, a canonical byte serialization (``.onnx`` files
+in this system are these documents, not protobuf), and graph composition for
+stitching a producer model into a consumer model.
 
 All types are immutable values; every operation here is a pure function, so
 graphs can be shared freely across threads.
@@ -49,22 +50,34 @@ def shape_numel(shape: Sequence[int]) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
-    """Dense numeric array; ``data`` is row-major and absent for pure specs.
+    """Dense numeric array; ``data`` is absent for pure specs.
 
-    An empty shape denotes a scalar holding one element.
+    Otherwise ``data`` is a flat, read-only, owned array of the dtype in
+    row-major order, copied once from what the tensor is built from.  An
+    empty shape denotes a scalar holding one element.
     """
 
     name: str
     dtype: str
     shape: Shape
-    data: tuple[float | int, ...] | None = None
+    data: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(self.shape))
-        if self.data is not None:
-            object.__setattr__(self, "data", tuple(self.data))
+        if self.data is not None:  # an unknown dtype is validate_graph's
+            data = np.asarray(self.data, NP_DTYPES.get(self.dtype)).flatten()
+            data.flags.writeable = False
+            object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return ((self.name, self.dtype, self.shape, self.data is None)
+                == (other.name, other.dtype, other.shape, other.data is None)
+                and (self.data is None
+                     or np.array_equal(self.data, other.data)))
 
     @property
     def numel(self) -> int:
@@ -135,8 +148,8 @@ def _check_tensor_spec(t: Tensor, scope: str, *, want_data: bool | None,
     if want_data is True:
         if t.data is None:
             out.append(f"{where} is missing data")
-        elif len(t.data) != t.numel:
-            out.append(f"{where} data length {len(t.data)} does not match "
+        elif t.data.size != t.numel:
+            out.append(f"{where} data length {t.data.size} does not match "
                        f"shape {list(t.shape)} (expected {t.numel})")
     elif want_data is False and t.data is not None:
         out.append(f"{where} must not carry data")
@@ -485,8 +498,7 @@ def _tensor_to_doc(t: Tensor, *, with_data: bool) -> dict[str, Any]:
         "shape": list(t.shape),
     }
     if with_data:
-        render = int if t.dtype == "i64" else float
-        doc["data"] = [render(x) for x in (t.data or ())]
+        doc["data"] = [] if t.data is None else t.data.tolist()
     return doc
 
 
@@ -541,7 +553,7 @@ def _parse_tensor(doc: Any, *, with_data: bool, where: str) -> Tensor:
         _expect(len(data[0]) == shape_numel(shape),
                 f"tensor '{name}': data length {len(data[0])} does not match "
                 f"shape {shape}")
-        data = [tuple(numbers(data[0], dtype, f"tensor '{name}'").tolist())]
+        data = [numbers(data[0], dtype, f"tensor '{name}'")]
     return Tensor(name, dtype, tuple(shape), *data)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -34,7 +33,6 @@ from .errors import (
     UnknownBackendError,
 )
 from .interchange import (
-    NP_DTYPES,
     GraphNode,
     InterchangeGraph,
     OpSpec,
@@ -91,8 +89,8 @@ def serialize_tensor_set(ts: NamedTensorSet) -> bytes:
     try:
         return dumps_canonical(docs)
     except ValueError:  # only non-finite floats have no JSON form
-        bad = next(doc["name"] for doc in docs
-                   if not all(math.isfinite(x) for x in doc["data"]))
+        bad = next(name for name in ts.names()
+                   if not np.isfinite(ts[name].data).all())
         raise ExecutionError(f"tensor '{bad}' holds a non-finite value "
                              "(f32 overflow or NaN)") from None
 
@@ -110,14 +108,10 @@ def parse_tensor_set(data: bytes | str) -> NamedTensorSet:
 
 
 def to_array(t: Tensor) -> np.ndarray:
+    """The tensor's own read-only data in its shape, not a copy."""
     if t.data is None:
         raise ExecutionError(f"tensor '{t.name}' carries no data")
-    return np.array(t.data, dtype=NP_DTYPES[t.dtype]).reshape(t.shape)
-
-
-def from_array(name: str, dtype: str, arr: np.ndarray) -> Tensor:
-    flat = tuple(arr.reshape(-1).tolist())
-    return Tensor(name, dtype, tuple(int(d) for d in arr.shape), flat)
+    return t.data.reshape(t.shape)
 
 
 def _checked_op(node: GraphNode, dtypes: Sequence[str]) -> OpSpec:
@@ -149,7 +143,7 @@ def apply_node(node: GraphNode, inputs: Sequence[Tensor]) -> list[Tensor]:
     out_shapes = node_output_shapes(node, [t.shape for t in inputs])
     result = spec.kernel(node.attributes, [to_array(t) for t in inputs])
     _check_result(node.id, result, out_shapes[0])
-    return [from_array(node.outputs[0], inputs[0].dtype, result)]
+    return [Tensor(node.outputs[0], inputs[0].dtype, result.shape, result)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,8 +161,8 @@ class Plan:
     """A graph checked and bound once by ``prepare``, to be run many times.
 
     Slots number the graph's inputs, then its initializers, then each
-    step's output.  The initializers are held as read-only arrays, so no
-    kernel can change them between runs.
+    step's output.  The initializers are the graph tensors' own read-only
+    arrays, so no kernel can change them between runs.
     """
 
     inputs: tuple[Tensor, ...]  # declared graph inputs, without data
@@ -194,7 +188,7 @@ class Plan:
             _check_result(step.node_id, result, step.shape)
             env[step.out] = result
         return NamedTensorSet.from_tensors(
-            from_array(name, dtype, env[slot])
+            Tensor(name, dtype, env[slot].shape, env[slot])
             for name, dtype, slot in self.outputs)
 
 
@@ -249,10 +243,7 @@ def prepare(g: InterchangeGraph) -> Plan:
             raise ShapeMismatchError(
                 f"output '{t.name}': produced shape {list(shapes[t.name])} "
                 f"does not match declared {list(t.shape)}")
-    constants = tuple(to_array(t) for t in g.initializers)
-    for arr in constants:
-        arr.flags.writeable = False
-    return Plan(g.inputs, constants, tuple(steps),
+    return Plan(g.inputs, tuple(map(to_array, g.initializers)), tuple(steps),
                 tuple((t.name, dtypes[t.name], slots[t.name])
                       for t in g.outputs))
 

@@ -32,6 +32,7 @@ import logging
 import os
 import secrets
 import shutil
+import signal
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
@@ -49,6 +50,7 @@ logger = logging.getLogger(__name__)
 
 _BASELINE_ENV = ("PATH", "LC_ALL")
 _CHUNK_BYTES = 1 << 20
+_ENTRYPOINT_TIMEOUT_S = 60  # then the entrypoint's process group is killed
 
 
 @dataclass(frozen=True)
@@ -254,14 +256,22 @@ def run_container(image: ImageRecord, run_root: str | Path,
             target.write_bytes(data)
         input_digest = digest_paths(workspace, manifest.declared_inputs)
         try:
-            proc = subprocess.run(argv, cwd=workspace, env=env,
-                                  capture_output=True, text=True, timeout=60)
+            proc = subprocess.Popen(argv, cwd=workspace, env=env, text=True,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE,
+                                    start_new_session=True)
         except FileNotFoundError:
             raise SandboxError(f"entrypoint program not found: {argv[0]}")
         except OSError as exc:  # say, a file without execute permission
             raise SandboxError(f"entrypoint cannot be executed: {exc}")
-        except subprocess.TimeoutExpired:
-            raise SandboxError(f"entrypoint timed out: {manifest.entrypoint}")
+        with proc:  # on leaving, closes the pipes and reaps the leader
+            try:
+                out, err = proc.communicate(timeout=_ENTRYPOINT_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                # the unreaped leader keeps its pid, which names the group
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise SandboxError(
+                    f"entrypoint timed out: {manifest.entrypoint}") from None
     except BaseException:  # no runs.log record will name this workspace
         shutil.rmtree(workspace, ignore_errors=True)
         raise
@@ -281,7 +291,7 @@ def run_container(image: ImageRecord, run_root: str | Path,
         input_digest=input_digest,
         output_digest=output_digest,
         exit_status=proc.returncode,
-        captured_log=proc.stdout + proc.stderr,
+        captured_log=out + err,
         errors=tuple(errors),
         device_requested=device,
     )

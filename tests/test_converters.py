@@ -58,7 +58,7 @@ class TestSequential:
         g = convert_sequential(ckpt, "ident", ir_version=1)
         x = Tensor("x", "f32", (1, 2), (3.5, -2.0))
         out = execute(g, NamedTensorSet.from_tensors([x]))
-        assert out[g.outputs[0].name].data == x.data
+        assert out[g.outputs[0].name].data.tolist() == x.data.tolist()
 
     def test_three_layer_shapes(self):
         rng = random.Random(5)
@@ -131,8 +131,8 @@ class TestSequential:
         g = convert_sequential(ckpt, "q", ir_version=1)
         stored = next(t for t in g.initializers
                       if t.name == "layer0/weight")
-        assert stored.data[0] != 0.1
-        assert abs(stored.data[0] - 0.1) < 1e-7
+        assert stored.data.tolist()[0] != 0.1
+        assert abs(stored.data.tolist()[0] - 0.1) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ class TestLayerDag:
         g = convert_layerdag(parse_layerdag(data), "ident", ir_version=1)
         x = Tensor("x", "f32", (1, 2), (4.0, -1.5))
         out = execute(g, NamedTensorSet.from_tensors([x]))
-        assert out[g.outputs[0].name].data == x.data
+        assert out[g.outputs[0].name].data.tolist() == x.data.tolist()
 
     def test_concat_widths(self):
         data = layerdag_doc(
@@ -187,7 +187,7 @@ class TestLayerDag:
         g = convert_layerdag(parse_layerdag(data), "m", ir_version=1)
         out = execute(g, NamedTensorSet.from_tensors(
             [Tensor("x", "f32", (1, 1), (1.0,))]))
-        assert out[g.outputs[0].name].data == (2.5, 3.5, 4.5)
+        assert out[g.outputs[0].name].data.tolist() == [2.5, 3.5, 4.5]
 
     def test_demo_decoder_matches_oracle(self):
         _, decoder, _ = build_demo_checkpoints(random.Random(42))

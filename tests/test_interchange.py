@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -282,6 +283,63 @@ class TestShapes:
 # serialization
 
 
+class TestTensorData:
+    def test_data_is_a_flat_array_of_the_dtype(self):
+        t = Tensor("w", "f32", (2, 2), [[1, 2], [3, 4]])
+        assert t.data.dtype == np.float32 and t.data.shape == (4,)
+        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_writing_to_the_data_raises(self):
+        t = Tensor("w", "f32", (2,), (1.0, 2.0))
+        with pytest.raises(ValueError):
+            t.data[0] = 9.0
+        assert t.data.tolist() == [1.0, 2.0]
+
+    def test_writing_to_the_source_changes_no_tensor(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
+        t = Tensor("w", "f32", (2, 2), source)
+        source[0, 0] = 9.0
+        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert not np.shares_memory(source, t.data)
+
+    def test_equality_is_by_value(self):
+        a = Tensor("w", "f32", (2,), (1.0, -0.0))
+        assert a == Tensor("w", "f32", (2,), np.array([1.0, 0.0]))
+        assert a != Tensor("w", "f32", (2,), (1.0, 1.0))
+        assert a != Tensor("w", "f64", (2,), (1.0, -0.0))
+        assert a != Tensor("w", "f32", (1, 2), (1.0, -0.0))
+        assert a != Tensor("w", "f32", (2,))
+        assert Tensor("w", "f32", (2,)) == Tensor("w", "f32", (2,))
+
+    def test_renamed_and_composed_initializers_equal_their_source(self):
+        producer = mlp_graph()
+        consumer = identity_graph(name="post", shape=(1, 2))
+        composed = compose_graphs(producer, consumer, [("out", "x")])
+        by_name = {t.name: t for t in composed.initializers}
+        for source in producer.initializers:
+            renamed = source.renamed("mlp/" + source.name)
+            assert by_name[renamed.name] == renamed
+            assert renamed.data.tolist() == source.data.tolist()
+            assert not renamed.data.flags.writeable
+
+    def test_a_length_the_shape_does_not_fit_is_reported_by_validate(self):
+        g = InterchangeGraph(
+            name="bad", ir_version=1,
+            outputs=(Tensor("c", "f32", (2,)),),
+            initializers=(Tensor("c", "f32", (2,), (1.0, 2.0, 3.0)),),
+        )
+        (violation,) = validate_graph(g).violations
+        assert "data length 3 does not match shape [2]" in violation
+
+    def test_an_unknown_dtype_with_data_is_reported_by_validate(self):
+        g = InterchangeGraph(
+            name="bad", ir_version=1,
+            outputs=(Tensor("c", "f16", (1,)),),
+            initializers=(Tensor("c", "f16", (1,), (1.0,)),),
+        )
+        assert any("f16" in v for v in validate_graph(g).violations)
+
+
 class TestSerialization:
     def test_round_trip_identity_graph(self):
         g = identity_graph()
@@ -356,8 +414,8 @@ class TestSerialization:
             "nodes": [], "doc": None,
         }
         g = parse_graph(json.dumps(doc))
-        assert g.initializers[0].data[0] == oracle.f32(value)
-        assert g.initializers[0].data[0] != value
+        assert g.initializers[0].data.tolist()[0] == oracle.f32(value)
+        assert g.initializers[0].data.tolist()[0] != value
 
     @pytest.mark.parametrize("dtype,value", [
         ("f32", "1e39"), ("f32", "NaN"), ("f64", "Infinity"), ("f64", "NaN")])
@@ -379,7 +437,7 @@ class TestSerialization:
             initializers=(Tensor("c", "f32", (1,), (value,)),),
         )
         parsed = parse_graph(serialize_graph(g))
-        assert parsed.initializers[0].data[0] == oracle.f32(value)
+        assert parsed.initializers[0].data.tolist()[0] == oracle.f32(value)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +454,7 @@ class TestCompose:
         x = Tensor("a/x", "f32", (1, 2), (3.0, -4.5))
         out = execute(composed, NamedTensorSet.from_tensors([x]))
         (only,) = out.names()
-        assert out[only].data == x.data
+        assert out[only].data.tolist() == x.data.tolist()
 
     def test_composition_equals_chained_execution_bit_for_bit(self):
         producer = mlp_graph()
@@ -410,7 +468,7 @@ class TestCompose:
             [Tensor("x", "f32", (1, 2), direct["out"].data)]))
         fused = execute(composed, NamedTensorSet.from_tensors(
             [Tensor("mlp/x", "f32", (1, 4), x)]))
-        assert fused["post/y"].data == chained["y"].data
+        assert fused["post/y"].data.tolist() == chained["y"].data.tolist()
 
     def test_prefixing_and_result_interface(self):
         producer = mlp_graph()

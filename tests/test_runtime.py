@@ -5,6 +5,7 @@ import json
 import logging
 import textwrap
 
+import numpy as np
 import pytest
 
 import oracle
@@ -34,6 +35,7 @@ from hpcfair.runtime import (
     prepare,
     run_inference_task,
     serialize_tensor_set,
+    to_array,
 )
 from hpcfair.tasks import Dispatcher
 
@@ -50,7 +52,7 @@ class TestApplyNode:
     def test_relu(self):
         node = GraphNode("n", "Relu", ("x",), ("y",))
         (out,) = apply_node(node, [t("x", (3,), (-1.0, 0.0, 2.0))])
-        assert out.data == (0.0, 0.0, 2.0)
+        assert out.data.tolist() == [0.0, 0.0, 2.0]
 
     def test_matmul_by_identity(self):
         node = GraphNode("n", "MatMul", ("a", "b"), ("c",))
@@ -58,13 +60,13 @@ class TestApplyNode:
             t("a", (2, 2), (1.0, 2.0, 3.0, 4.0)),
             t("b", (2, 2), (1.0, 0.0, 0.0, 1.0)),
         ])
-        assert out.data == (1.0, 2.0, 3.0, 4.0)
+        assert out.data.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert out.shape == (2, 2)
 
     def test_softmax_of_equal_logits(self):
         node = GraphNode("n", "Softmax", ("x",), ("y",), {"axis": 0})
         (out,) = apply_node(node, [t("x", (2,), (0.0, 0.0))])
-        assert out.data == (0.5, 0.5)
+        assert out.data.tolist() == [0.5, 0.5]
 
     def test_concat_rows(self):
         node = GraphNode("n", "Concat", ("a", "b"), ("c",), {"axis": 0})
@@ -73,7 +75,7 @@ class TestApplyNode:
             t("b", (2, 2), (3.0, 4.0, 5.0, 6.0)),
         ])
         assert out.shape == (3, 2)
-        assert out.data == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert out.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_reshape_keeps_flat_data(self):
         node = GraphNode("n", "Reshape", ("x",), ("y",),
@@ -81,7 +83,7 @@ class TestApplyNode:
         (out,) = apply_node(node, [t("x", (2, 3), (1.0, 2.0, 3.0,
                                                    4.0, 5.0, 6.0))])
         assert out.shape == (3, 2)
-        assert out.data == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert out.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     @pytest.mark.parametrize("op,attrs", [
         ("Sigmoid", {}), ("Tanh", {}), ("Softmax", {"axis": 0})])
@@ -101,8 +103,8 @@ class TestApplyNode:
             t("a", (2,), (1, 2), dtype="i64"),
             t("b", (2,), (10, -2), dtype="i64"),
         ])
-        assert out.data == (11, 0)
-        assert all(isinstance(v, int) for v in out.data)
+        assert out.data.tolist() == [11, 0]
+        assert all(isinstance(v, int) for v in out.data.tolist())
 
 
 def test_every_operator_has_a_shape_rule_and_a_kernel():
@@ -142,12 +144,12 @@ class TestExecute:
         )
         x = t("x", (2, 2), (1.5, -2.0, 0.0, 7.25))
         out = execute(g, NamedTensorSet.from_tensors([x]))
-        assert out["y"].data == x.data
+        assert out["y"].data.tolist() == x.data.tolist()
 
     def test_linear_layer_value(self):
         out = execute(linear_graph(), NamedTensorSet.from_tensors(
             [t("x", (1, 2), (1.0, 0.0))]))
-        assert out["y"].data == (1.0, 3.0)
+        assert out["y"].data.tolist() == [1.0, 3.0]
 
     def test_returns_exactly_declared_outputs(self):
         out = execute(linear_graph(), NamedTensorSet.from_tensors(
@@ -172,6 +174,38 @@ class TestExecute:
         assert a == b
 
 
+class TestTensorViews:
+    def test_to_array_is_a_view_of_the_tensor_data(self):
+        x = t("x", (2, 3), range(6))
+        arr = to_array(x)
+        assert arr.shape == (2, 3)
+        assert np.shares_memory(arr, x.data)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 9.0
+
+    def test_to_array_of_a_spec_is_refused(self):
+        with pytest.raises(ExecutionError, match="carries no data"):
+            to_array(Tensor("x", "f32", (1,)))
+
+    def test_a_node_output_owns_its_data(self):
+        x = t("x", (2,), (1.0, 2.0))
+        node = GraphNode("n", "Reshape", ("x",), ("y",),
+                         {"target_shape": (2, 1)})
+        (out,) = apply_node(node, [x])
+        assert not np.shares_memory(out.data, x.data)
+        assert not out.data.flags.writeable
+        assert out.data.tolist() == [1.0, 2.0]
+
+    def test_a_plan_holds_the_initializers_own_arrays(self):
+        g = linear_graph()
+        plan = prepare(g)
+        assert len(plan.constants) == len(g.initializers) == 2
+        for held, init in zip(plan.constants, g.initializers):
+            assert held.shape == init.shape
+            assert np.shares_memory(held, init.data)
+            assert not held.flags.writeable
+
+
 class TestPlan:
     def test_initializer_is_unchanged_by_runs_of_its_views(self):
         w = t("w", (2, 2), (1.0, -2.0, 3.5, 0.0))
@@ -193,13 +227,14 @@ class TestPlan:
         x = NamedTensorSet.from_tensors([t("x", (2, 2), (1.0,) * 4)])
         runs = [plan.run(x) for _ in range(2)]
         for out in runs:
-            assert out["same"].data == out["flat"].data == w.data
-            assert out["sum"].data == (2.0, -1.0, 4.5, 1.0)
+            assert (out["same"].data.tolist() == out["flat"].data.tolist()
+                    == w.data.tolist())
+            assert out["sum"].data.tolist() == [2.0, -1.0, 4.5, 1.0]
         (held,) = plan.constants
         assert not held.flags.writeable
         with pytest.raises(ValueError):
             held[0, 0] = 9.0
-        assert tuple(held.reshape(-1).tolist()) == w.data
+        assert held.reshape(-1).tolist() == w.data.tolist()
 
     def test_invalid_graph_is_refused_as_execute_refuses_it(self):
         g = InterchangeGraph(
@@ -236,7 +271,7 @@ class TestPlan:
     def test_a_plan_checks_every_run_inputs(self):
         plan = prepare(linear_graph())
         assert plan.run(NamedTensorSet.from_tensors(
-            [t("x", (1, 2), (1.0, 0.0))]))["y"].data == (1.0, 3.0)
+            [t("x", (1, 2), (1.0, 0.0))]))["y"].data.tolist() == [1.0, 3.0]
         with pytest.raises(MissingTensorError, match="'x'"):
             plan.run(NamedTensorSet.from_tensors([]))
         with pytest.raises(ExecutionError, match="supplied dtype f64"):
@@ -285,7 +320,7 @@ class TestTensorSetFiles:
         )
         ts = parse_tensor_set(json.dumps([{"name": "x", "dtype": "i64",
                                            "shape": [1], "data": [value]}]))
-        assert execute(g, ts)["y"].data == (value,)
+        assert execute(g, ts)["y"].data.tolist() == [value]
 
     def test_non_finite_literal_rejected(self):
         doc = '[{"name": "x", "dtype": "f64", "shape": [1], "data": [NaN]}]'
@@ -300,7 +335,7 @@ class TestTensorSetFiles:
 
     def test_f32_values_snap_at_parse(self):
         doc = '[{"name": "x", "dtype": "f32", "shape": [1], "data": [0.1]}]'
-        assert parse_tensor_set(doc)["x"].data == (oracle.f32(0.1),)
+        assert parse_tensor_set(doc)["x"].data.tolist() == [oracle.f32(0.1)]
 
     def test_serialization_is_canonical(self):
         ts1 = NamedTensorSet.from_tensors([t("b", (1,), (2.0,)),
@@ -352,7 +387,7 @@ class TestInferenceTask:
         out_path = run_inference_task(cfg)
         assert out_path == tmp_path / "o.txt"
         written = parse_tensor_set(out_path.read_bytes())
-        assert written["y"].data == x.data
+        assert written["y"].data.tolist() == x.data.tolist()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_f32_overflow_fails_as_execution_error(self, tmp_path):

@@ -3,13 +3,15 @@
 import dataclasses
 import json
 import os
-import subprocess
 import textwrap
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import oracle
+from hpcfair import sandbox
 from hpcfair._canonical import dumps_canonical
 from hpcfair.config import load_config
 from hpcfair.errors import (
@@ -191,6 +193,15 @@ class TestChunkedDigests:
 # runs
 
 
+def process_state(pid: int) -> str | None:
+    """The state letter in /proc/<pid>/stat, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rpartition(")")[2].split()[0]
+
+
 def build_fixture_image(tmp_path, deterministic=True):
     project = write_container_project(tmp_path, deterministic=deterministic)
     manifest = parse_manifest((project / "build.yaml").read_bytes())
@@ -271,14 +282,39 @@ class TestRunContainer:
 
     def test_timed_out_entrypoint_leaves_no_workspace(self, tmp_path,
                                                       monkeypatch):
-        def time_out(argv, **kwargs):
-            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
-
-        image = build_fixture_image(tmp_path)
-        monkeypatch.setattr(subprocess, "run", time_out)
+        project = write_container_project(tmp_path)
+        manifest = dataclasses.replace(
+            parse_manifest((project / "build.yaml").read_bytes()),
+            entrypoint="sleep 30")
+        image = build_image(manifest, project, tmp_path / "images")
+        monkeypatch.setattr(sandbox, "_ENTRYPOINT_TIMEOUT_S", 0.5)
         with pytest.raises(SandboxError, match="timed out"):
             run_container(image, tmp_path / "runs")
         assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_timed_out_entrypoint_leaves_no_process(self, tmp_path,
+                                                    monkeypatch):
+        project = write_container_project(tmp_path)
+        (project / "fork.sh").write_text(
+            'sleep 30 &\necho $! > "$PID_FILE"\nwait\n')
+        pid_file = tmp_path / "sleeper.pid"
+        manifest = dataclasses.replace(
+            parse_manifest((project / "build.yaml").read_bytes()),
+            entrypoint="sh fork.sh", env={"PID_FILE": str(pid_file)})
+        image = build_image(manifest, project, tmp_path / "images")
+        monkeypatch.setattr(sandbox, "_ENTRYPOINT_TIMEOUT_S", 1.0)
+        started = time.monotonic()
+        with pytest.raises(SandboxError, match="timed out") as caught:
+            run_container(image, tmp_path / "runs")
+        assert caught.value.code == "sandbox_error"
+        assert time.monotonic() - started < 5.0
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while process_state(pid) not in (None, "Z") \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        # gone, or a zombie that its new parent has not reaped yet
+        assert process_state(pid) in (None, "Z"), "the sleeper still runs"
 
     def test_manifest_env_and_volume_reach_the_process(self, tmp_path):
         project = write_container_project(tmp_path)
