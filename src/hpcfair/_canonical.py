@@ -3,7 +3,8 @@
 One representation per value: compact separators, UTF-8, a single trailing
 newline, floats rendered with Python's shortest round-trip repr.  Containers
 must already be built in their canonical field order; this module does not
-reorder keys.  ``loads_canonical`` is the only JSON decoder.  The store's
+reorder keys.  ``loads_canonical`` is the only JSON decoder, and
+``loads_yaml`` the only YAML decoder (configs and manifests).  The store's
 logs (``meta.log``, ``tokens``, ``runs.log``) are written only under
 ``appending``, which holds a log's lock through a caller's check and append,
 and read only by ``read_records``, from the offset it last returned.
@@ -20,9 +21,16 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
+import yaml
+
 from .errors import HpcfairError, IntegrityError
 
 logger = logging.getLogger(__name__)
+
+# libyaml when PyYAML was built with it; its loader recurses in C, so the
+# nesting is bounded on the event stream (parsed on heap stacks) first
+_YAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DEPTH = 100  # configs and manifests nest 3 deep
 
 
 def dumps_canonical(obj: Any) -> bytes:
@@ -42,6 +50,28 @@ def loads_canonical(data: bytes | str, what: str,
                           else data)
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+def loads_yaml(data: bytes | str, what: str,
+               error: type[HpcfairError]) -> Any:
+    """Decode one YAML document, or raise ``error``: "malformed <what>:
+    <reason>", also for text that is not UTF-8 and for collections nested
+    deeper than ``_YAML_DEPTH``."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        depth = 0
+        for event in yaml.parse(text, Loader=_YAML):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _YAML_DEPTH:
+                    raise error(f"malformed {what}: nested deeper than "
+                                f"{_YAML_DEPTH}")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(text, Loader=_YAML)
+    # UnicodeError: libyaml encodes a str, and a lone surrogate cannot be
+    except (UnicodeError, yaml.YAMLError, RecursionError) as exc:
+        raise error(f"malformed {what}: {exc}") from None
 
 
 class Kind(NamedTuple):

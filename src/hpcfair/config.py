@@ -16,9 +16,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-import yaml
-
-from ._canonical import OBJECT, POSITIVE, STR, Kind, check, dumps_canonical
+from ._canonical import OBJECT, POSITIVE, STR, Kind, check, \
+    dumps_canonical, loads_yaml
 from .errors import ConfigError, ValidationReport
 
 logger = logging.getLogger(__name__)
@@ -139,11 +138,7 @@ def _check_section(name: str, value: Any) -> dict[str, Any]:
 def parse_config(text: bytes | str, *,
                  base_dir: Path | None = None) -> TaskConfig:
     """Parse a config document; lossless, warning on keys it does not know."""
-    try:
-        doc = yaml.safe_load(text.decode("utf-8") if isinstance(text, bytes)
-                             else text)
-    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
-        raise ConfigError(f"malformed config document: {exc}")
+    doc = loads_yaml(text, "config document", ConfigError)
     doc = check({} if doc is None else doc, OBJECT, "config document",
                 ConfigError)
     warnings: list[str] = []

@@ -309,8 +309,8 @@ class Registry:
             raise AuthError("credential has expired", code="expired_token")
         return account, role
 
-    def _require_role(self, cred: Credential | str | None,
-                      role: str) -> tuple[str, str]:
+    def require_role(self, cred: Credential | str | None,
+                     role: str) -> tuple[str, str]:
         account, actual = self.authenticate(cred)
         if role == "publisher" and actual != "publisher":
             raise AuthError(
@@ -327,7 +327,7 @@ class Registry:
         interchange artifact; if conversion fails or either blob is a
         duplicate, nothing at all is stored.
         """
-        account, _ = self._require_role(cred, "publisher")
+        account, _ = self.require_role(cred, "publisher")
         self._check_draft(draft)
 
         planned = [(content, self._complete(content, draft, account))]

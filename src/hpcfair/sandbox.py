@@ -38,10 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Mapping
 
-import yaml
-
 from ._canonical import NAME, OBJECT, STR, Kind, append_records, check, \
-    dumps_canonical, fields
+    dumps_canonical, fields, loads_yaml
 from .config import TaskConfig, as_list
 from .errors import MalformedDocumentError, SandboxError, \
     UnknownBackendError
@@ -127,11 +125,7 @@ def _check_rel_path(raw: object, where: str) -> str:
 
 def parse_manifest(data: bytes | str) -> SandboxManifest:
     """Parse and validate a build file."""
-    try:
-        doc = yaml.safe_load(data.decode("utf-8") if isinstance(data, bytes)
-                             else data)
-    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
-        raise MalformedDocumentError(f"malformed manifest: {exc}")
+    doc = loads_yaml(data, "manifest", MalformedDocumentError)
     build_tag, entrypoint, volume, env, inputs, outputs = fields(
         doc, "manifest", MalformedDocumentError,
         {"build_tag": NAME, "entrypoint": _COMMAND, "volume": _ABSOLUTE},

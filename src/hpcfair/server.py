@@ -162,17 +162,32 @@ class _Handler(BaseHTTPRequestHandler):
             return header[len("Bearer "):].strip() or None
         return None
 
+    def _authenticate(self, role: str) -> str:
+        """The bearer token, once it and its role are checked; called before
+        ``_body``, so that a refused request costs no read of its body."""
+        token = self._token()
+        if token is None:
+            raise AuthError("missing bearer token")
+        self.app.registry.require_role(token, role)
+        return token
+
     def _body(self) -> bytes:
         raw = self.headers.get("Content-Length", "0").strip()
         if not (raw.isascii() and raw.isdigit()):
-            # the body's end is unknown, so the connection cannot be reused
-            self.close_connection = True
             raise MalformedDocumentError(f"invalid Content-Length {raw!r}")
+        self._unread = False
         return self.rfile.read(int(raw))
+
+    def _send_response(self, status: int) -> None:
+        self.send_response(status)
+        if self._unread:
+            # the next request would start inside the unread body, or the
+            # body's end is unknown: this connection cannot be reused
+            self.send_header("Connection", "close")
 
     def _send_json(self, status: int, body: dict) -> None:
         payload = dumps_canonical(body)
-        self.send_response(status)
+        self._send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -186,7 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
                         error_body(exc.code, exc.message, data))
 
     def _send_bytes(self, blob: bytes, digest: str) -> None:
-        self.send_response(200)
+        self._send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
         self.send_header("Content-Length", str(len(blob)))
         self.send_header("X-Content-Digest", digest)
@@ -202,6 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle(self._route_post)
 
     def _handle(self, route) -> None:
+        self._unread = self.headers.get("Content-Length", "0").strip() != "0"
         try:
             route()
         except HpcfairError as exc:
@@ -238,21 +254,15 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
 
         if parts == ["v1", "artifacts"]:
-            token = self._token()
-            if token is None:
-                raise AuthError("missing bearer token")
+            token = self._authenticate("publisher")
             meta, content = _split_upload(self._body())
             records = self.app.registry.register_artifact(
                 content, ArtifactDraft.from_dict(meta), token)
             self._send_json(201, ok_body(
                 {"records": [r.to_dict() for r in records]}))
         elif parts == ["v1", "tasks"]:
-            token = self._token()
-            if token is None:
-                raise AuthError("missing bearer token")
-            self.app.registry.authenticate(token)
-            body = self._body()
-            cfg = parse_config(body)
+            self._authenticate("reader")
+            cfg = parse_config(self._body())
             report = validate_config(cfg)
             if not report.ok:
                 self._send_json(400, error_body(

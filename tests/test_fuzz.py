@@ -5,6 +5,9 @@ field at any depth replaced, deleted or added.  A parser that lets any
 other exception escape reports it to a remote caller as internal_error.
 Task configs go further: every declared task argument may be of the wrong
 kind, and the task they describe must still fail with a typed error.
+YAML documents that are well formed read the same through libyaml as
+through PyYAML's pure-Python loader, which is also fuzzed on its own: it is
+the loader used where PyYAML was built without libyaml.
 """
 
 import json
@@ -13,10 +16,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from hpcfair import _canonical
 from hpcfair.config import load_config, parse_config, serialize_config, \
     validate_config
 from hpcfair.converters import parse_layerdag, parse_sequential
-from hpcfair.errors import HpcfairError
+from hpcfair.errors import HpcfairError, MalformedDocumentError
 from hpcfair.interchange import parse_graph
 from hpcfair.registry import ArtifactDraft
 from hpcfair.runtime import parse_tensor_set, to_array
@@ -279,6 +283,47 @@ def test_task_configs_fail_only_with_typed_errors(workspace, data):
     assert result.status == "succeeded" or \
         result.error["code"] != "internal_error", result.error
     assert report.ok or result.error["code"] == "invalid_config"
+
+
+TEXT = st.text(max_size=8)
+# values a section key may hold: a scalar or a flat list (NaN is not equal
+# to itself, so it is left out of an equality test)
+VALUE = st.none() | st.booleans() | st.integers() \
+    | st.floats(allow_nan=False) | TEXT
+SECTION = st.dictionaries(TEXT, VALUE | st.lists(VALUE, max_size=3),
+                          max_size=4)
+CONFIG_DOCS = st.fixed_dictionaries(
+    {"general_args": st.fixed_dictionaries(
+        {"task": st.sampled_from(["conversion", "inference", "container"])},
+        optional={"tag": TEXT, "backend": TEXT | st.lists(TEXT, max_size=3)}),
+     "out_args": SECTION},
+    optional={"device_args": st.fixed_dictionaries(
+        {}, optional={"worker_num": st.integers(1, 64),
+                      "device": st.sampled_from(["cpu", "gpu"])}),
+        "task_args": SECTION, "model_args": SECTION})
+MANIFEST_DOCS = st.fixed_dictionaries(
+    {"build_tag": st.text(min_size=1, max_size=8),
+     "entrypoint": TEXT | st.lists(TEXT, min_size=1, max_size=3),
+     "volume": st.builds("/{}".format, TEXT)},
+    optional={"env": st.dictionaries(TEXT, TEXT, max_size=3),
+              "inputs": st.lists(TEXT, max_size=3),
+              "outputs": st.lists(TEXT, max_size=3)})
+
+
+@FUZZ
+@given(st.builds(yaml.safe_dump, CONFIG_DOCS | MANIFEST_DOCS,
+                 default_flow_style=st.booleans(),
+                 allow_unicode=st.booleans()))
+def test_loads_yaml_reads_documents_as_the_pure_loader_does(text):
+    assert _canonical.loads_yaml(text.encode("utf-8"), "document",
+                                 MalformedDocumentError) \
+        == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_pure_loader_raises_only_typed_errors(monkeypatch):
+    monkeypatch.setattr(_canonical, "_YAML", yaml.SafeLoader)
+    test_parse_manifest_raises_only_typed_errors()
+    test_parsed_configs_validate_and_serialize()
 
 
 def test_seeds_are_valid_documents():

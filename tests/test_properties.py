@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import oracle
 from graphgen import random_graph
+from hpcfair._canonical import _YAML_DEPTH
 from hpcfair.config import parse_config
 from hpcfair.converters import parse_layerdag, parse_sequential
 from hpcfair.errors import HpcfairError, InvalidArtifactError
@@ -180,3 +181,56 @@ def test_deeply_nested_documents_are_typed_errors(parse, code, doc):
     with pytest.raises(HpcfairError) as err:
         parse(doc)
     assert err.value.code == code
+
+
+YAML_PARSERS = pytest.mark.parametrize("parse,what,code", [
+    (parse_config, "config document", "invalid_config"),
+    (parse_manifest, "manifest", "malformed_document"),
+], ids=["parse_config", "parse_manifest"])
+
+
+@YAML_PARSERS
+@pytest.mark.parametrize("doc", [b"[" * 100_000, b"- " * 100_000,
+                                 b"{a: " * 100_000],
+                         ids=["flow-sequences", "block-sequences",
+                              "flow-mappings"])
+def test_yaml_nested_past_the_bound_is_rejected_before_loading(parse, what,
+                                                               code, doc):
+    # libyaml's loader recurses in C: past the bound it must never run
+    with pytest.raises(HpcfairError) as err:
+        parse(doc)
+    assert err.value.code == code
+    assert err.value.message == \
+        f"malformed {what}: nested deeper than {_YAML_DEPTH}"
+
+
+@pytest.mark.parametrize("parse,key,checked", [
+    (parse_config, "general_args", "section 'general_args' must be an "
+                                   "object"),
+    (parse_manifest, "build_tag", "manifest: 'build_tag' must be a non-empty "
+                                  "string"),
+], ids=["parse_config", "parse_manifest"])
+@pytest.mark.parametrize("style", ["flow", "block"])
+def test_yaml_nesting_bound_is_exact(parse, key, checked, style):
+    def nested(depth):  # a mapping whose one key holds depth - 1 lists
+        if style == "flow":
+            return f"{{{key}: {'[' * (depth - 1)}{']' * (depth - 1)}}}"
+        return f"{key}:\n  " + "- " * (depth - 1) + "x"
+
+    with pytest.raises(HpcfairError) as at_bound:
+        parse(nested(_YAML_DEPTH))
+    assert at_bound.value.message == checked
+    with pytest.raises(HpcfairError) as past_bound:
+        parse(nested(_YAML_DEPTH + 1))
+    assert past_bound.value.message.endswith(
+        f": nested deeper than {_YAML_DEPTH}")
+
+
+@YAML_PARSERS
+def test_yaml_text_that_is_not_unicode_is_typed(parse, what, code):
+    # bytes that are not UTF-8, and a str that cannot be encoded as UTF-8
+    for text in (b"a: \xff", "a: \ud800"):
+        with pytest.raises(HpcfairError) as err:
+            parse(text)
+        assert err.value.code == code
+        assert err.value.message.startswith(f"malformed {what}: ")

@@ -10,7 +10,7 @@ import pytest
 import requests
 
 from hpcfair import server as server_module
-from hpcfair._canonical import dumps_canonical
+from hpcfair._canonical import _YAML_DEPTH, dumps_canonical
 from hpcfair.registry import Registry, SearchQuery, content_digest
 from hpcfair.server import HpcfairServer
 
@@ -54,6 +54,16 @@ def gate(server):
     release = hold_tasks(server)
     yield release
     release.set()
+
+
+def read_until_closed(sock):
+    reply = b""
+    try:
+        while chunk := sock.recv(4096):
+            reply += chunk
+    except ConnectionResetError:  # closed with part of a body unread
+        pass
+    return reply
 
 
 def timed_get(url, **kwargs):
@@ -160,6 +170,23 @@ class TestArtifactEndpoints:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.split()[1] == b"400"
         assert json.loads(body)["error"]["code"] == "malformed_document"
+
+    def test_bad_token_push_is_401_before_the_body_is_read(self, server):
+        # 10 of the 1,000,000 declared bytes are sent: a server that read
+        # the body before the token would wait for the rest
+        host, port = server.address.rsplit("/", 1)[-1].split(":")
+        request = (f"POST /v1/artifacts HTTP/1.1\r\nHost: {host}\r\n"
+                   f"Authorization: Bearer not-a-token\r\n"
+                   f"Content-Length: 1000000\r\n\r\n").encode() + b"x" * 10
+        start = time.monotonic()
+        with socket.create_connection((host, int(port)), timeout=2) as sock:
+            sock.sendall(request)
+            reply = read_until_closed(sock)  # the server closes the socket
+        assert time.monotonic() - start < 2
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"401"
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["error"]["code"] == "unknown_token"
 
 
 class TestSearchEndpoint:
@@ -278,6 +305,21 @@ class TestTaskEndpoints:
             headers={"Authorization": f"Bearer {publisher.token}"})
         assert r.status_code == 400
         assert r.json()["error"]["code"] == "invalid_config"
+
+    @pytest.mark.parametrize("doc", [b"[" * 100_000, b"- " * 100_000,
+                                     b"{a: " * 100_000],
+                             ids=["flow-sequences", "block-sequences",
+                                  "flow-mappings"])
+    def test_config_nested_past_the_bound_is_400(self, server, publisher,
+                                                 doc):
+        r = requests.post(
+            f"{server.address}/v1/tasks", data=doc,
+            headers={"Authorization": f"Bearer {publisher.token}"})
+        assert r.status_code == 400
+        assert r.json()["error"] == {
+            "code": "invalid_config",
+            "message": f"malformed config document: nested deeper than "
+                       f"{_YAML_DEPTH}"}
 
     def test_task_submission_requires_token(self, server):
         r = requests.post(f"{server.address}/v1/tasks", data=b"x")
@@ -460,6 +502,17 @@ class TestKeepAlive:
                 assert r.status_code == 200
             took = time.monotonic() - started
         assert took < 20 * 0.040 / 2
+
+    def test_a_refused_post_leaves_the_connection_usable(self, server):
+        # the unread body of a refused POST must not be read as the start
+        # of the next request on the connection
+        with requests.Session() as session:
+            r = session.post(f"{server.address}/v1/tasks", data=b"x" * 10)
+            assert r.status_code == 401
+            r = session.get(f"{server.address}/v1/search",
+                            params={"tags": "x"})
+            assert r.status_code == 200
+            assert r.json() == {"ok": True, "data": {"records": []}}
 
 
 class TestMetadataFields:
