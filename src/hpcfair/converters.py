@@ -9,16 +9,23 @@ conventions so that orientation is normalized here and not in the runtime:
   [in, out] and computes y = x . K + b.
 
 Both are structured-text (JSON) documents with an explicit ``format_tag``.
-Converted graphs carry f32 tensors; weights are snapped onto the f32 grid at
-parse time so serialization prints exact values.  Linear/dense layers assume
-batch-1 inputs [1, n]: the bias is materialized as a [1, out] initializer and
-added without broadcasting.
+A frontend reads its document and emits initializers and nodes as it goes,
+checking the document itself (``malformed_document``) and, once it is read,
+only what a graph cannot show: the model name, a pt stack with no linear
+layer, and tf outputs and references that can name no node.  ``_graph``
+then builds the interchange graph and leaves every structural and shape
+check to ``validate_graph`` and ``infer_shapes``, the rule the runtime
+applies too; what they refuse is a ``ConversionError`` in either format.
+Converted graphs carry f32 tensors; weights are snapped onto the f32 grid as
+they are read, so serialization prints exact values.  Linear/dense layers
+assume batch-1 inputs [1, n]: the bias is materialized as a [1, out]
+initializer and added without broadcasting.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -28,8 +35,8 @@ import numpy as np
 from ._canonical import INT, LIST, NAME, OBJECT, POSITIVE, STR, Kind, check, \
     fields, loads_canonical
 from .config import TaskConfig, as_list
-from .errors import ConfigError, ConversionError, MalformedDocumentError, \
-    UnknownBackendError
+from .errors import ConfigError, ConversionError, InvalidGraphError, \
+    MalformedDocumentError, ShapeMismatchError, UnknownBackendError
 from .interchange import GraphNode, InterchangeGraph, Tensor, _expect, \
     infer_shapes, numbers, serialize_graph, validate_graph
 
@@ -38,52 +45,11 @@ logger = logging.getLogger(__name__)
 SEQUENTIAL_TAG = "pt-ckpt-v1"
 LAYERDAG_TAG = "tf-ckpt-v1"
 
-_ACTIVATIONS = ("relu", "sigmoid", "tanh")
-_DAG_OPS = ("dense",) + _ACTIVATIONS + ("softmax", "concat")
-_ACT_OP = {"relu": "Relu", "sigmoid": "Sigmoid", "tanh": "Tanh",
-           "softmax": "Softmax"}
-
-
-@dataclass(frozen=True)
-class SequentialLayer:
-    kind: str  # "linear" | "relu" | "sigmoid" | "tanh" | "softmax"
-    weight: np.ndarray | None = None  # f32 [out, in]
-    bias: np.ndarray | None = None  # f32 [out]
-    axis: int | None = None
-
-
-@dataclass(frozen=True)
-class SequentialCheckpoint:
-    layers: tuple[SequentialLayer, ...]
-    format_tag: str = SEQUENTIAL_TAG
-
-
-@dataclass(frozen=True)
-class DagInput:
-    name: str
-    shape: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DagNode:
-    kind: str  # "dense" | "relu" | "sigmoid" | "tanh" | "softmax" | "concat"
-    inbound: tuple[str, ...]
-    kernel: np.ndarray | None = None  # f32 [in, out]
-    bias: np.ndarray | None = None  # f32 [out]
-    axis: int | None = None
-
-
-@dataclass(frozen=True)
-class LayerDagCheckpoint:
-    inputs: tuple[DagInput, ...]
-    nodes: dict[str, DagNode] = field(default_factory=dict)
-    outputs: tuple[str, ...] = ()
-    format_tag: str = LAYERDAG_TAG
-
-
-# ---------------------------------------------------------------------------
-# checkpoint document parsing
-
+_OP_TYPE = {"relu": "Relu", "sigmoid": "Sigmoid", "tanh": "Tanh",
+            "softmax": "Softmax", "concat": "Concat"}
+# tuples: `in` must not hash an unhashable kind
+_LAYER_KINDS = ("relu", "sigmoid", "tanh", "softmax")
+_DAG_OPS = ("dense", "concat") + _LAYER_KINDS
 
 _ROW = Kind("a non-empty list", "non-empty lists",
            lambda v: LIST.test(v) and v != [])
@@ -105,43 +71,105 @@ def _parse_vector(raw: Any, where: str) -> np.ndarray:
                    where)
 
 
-def parse_sequential(data: bytes | str) -> SequentialCheckpoint:
+def _check_model_name(model_name: str) -> None:
+    if not model_name or "/" in model_name:
+        raise ConversionError(
+            f"model name {model_name!r} must be non-empty and contain no '/'")
+
+
+def _dense(prefix: str, inbound: tuple[str, ...], kernel: np.ndarray,
+           bias: np.ndarray, out: str, initializers: list[Tensor],
+           nodes: list[GraphNode]) -> None:
+    """Emit out = inbound . kernel + bias as MatMul/Add; kernel is [in, out]
+    and every inbound name feeds the MatMul."""
+    weight = Tensor(f"{prefix}/weight", "f32", kernel.shape, kernel)
+    row = Tensor(f"{prefix}/bias", "f32", (1, len(bias)), bias)
+    initializers += [weight, row]
+    nodes += [GraphNode(f"{prefix}/matmul", "MatMul", inbound + (weight.name,),
+                        (f"{prefix}/mm",)),
+              GraphNode(f"{prefix}/add", "Add", (f"{prefix}/mm", row.name),
+                        (out,))]
+
+
+def _graph(model_name: str, ir_version: int, inputs: tuple[Tensor, ...],
+           initializers: list[Tensor], nodes: list[GraphNode],
+           outputs: list[str]) -> InterchangeGraph:
+    """The converted graph, once ``validate_graph`` and ``infer_shapes``
+    accept it; ``outputs`` are declared with their inferred shapes."""
+    graph = InterchangeGraph(model_name, ir_version, inputs,
+                             initializers=initializers, nodes=nodes)
+    report = validate_graph(graph)
+    try:
+        if not report.ok:
+            raise InvalidGraphError(report.violations[0])
+        shapes = infer_shapes(graph)
+    except (InvalidGraphError, ShapeMismatchError) as exc:
+        raise ConversionError(
+            f"conversion produced an invalid graph: {exc}") from None
+    return replace(graph, outputs=tuple(Tensor(name, "f32", shapes[name])
+                                        for name in outputs))
+
+
+def convert_sequential(data: bytes | str, model_name: str,
+                       ir_version: int) -> InterchangeGraph:
+    """pt sequential stack -> graph with one input "x" and one output.
+
+    Each linear layer lowers to MatMul(x, W^T) + Add(bias); node ids are
+    "layer<i>/<op>".  The input width comes from the first linear layer, so
+    a checkpoint with no linear layer at all is underdetermined and rejected.
+    """
     doc = loads_canonical(data, "checkpoint", MalformedDocumentError)
     tag, raw_layers = fields(doc, "checkpoint", MalformedDocumentError,
                              {"format_tag": None, "layers": LIST})
     _expect(tag == SEQUENTIAL_TAG,
             f"expected format_tag '{SEQUENTIAL_TAG}', got {tag!r}")
-    layers = []
+    initializers: list[Tensor] = []
+    nodes: list[GraphNode] = []
+    width = 0  # the input width: the first linear layer's
+    current = "x"
     for i, raw in enumerate(raw_layers):
-        where = f"layer {i}"
+        where, prefix = f"layer {i}", f"layer{i}"
         kind = check(raw, OBJECT, where, MalformedDocumentError).get("kind")
         if kind == "linear":
             _, weight, bias = fields(raw, where, MalformedDocumentError,
                                      {"kind": None, "weight": None,
                                       "bias": None})
             weight = _parse_matrix(weight, f"{where} weight")
-            bias = _parse_vector(bias, f"{where} bias")
-            if len(weight) != len(bias):
-                raise ConversionError(
-                    f"{where}: weight has {len(weight)} output rows but bias "
-                    f"has {len(bias)} entries")
-            layers.append(SequentialLayer("linear", weight=weight, bias=bias))
-        elif kind in _ACTIVATIONS:
-            fields(raw, where, MalformedDocumentError, {"kind": None})
-            layers.append(SequentialLayer(kind))
-        elif kind == "softmax":
-            _, axis = fields(raw, where, MalformedDocumentError,
-                             {"kind": None} | _AXIS)
-            layers.append(SequentialLayer("softmax", axis=axis))
+            _dense(prefix, (current,), weight.T,
+                   _parse_vector(bias, f"{where} bias"), f"{prefix}/out",
+                   initializers, nodes)
+            width = width or weight.shape[1]
+        elif kind in _LAYER_KINDS:  # softmax alone takes an axis
+            _, *axis = fields(raw, where, MalformedDocumentError,
+                              {"kind": None}
+                              | (_AXIS if kind == "softmax" else {}))
+            nodes.append(GraphNode(f"{prefix}/{kind}", _OP_TYPE[kind],
+                                   (current,), (f"{prefix}/out",),
+                                   dict(zip(_AXIS, axis))))
         else:
             raise MalformedDocumentError(
                 f"{where}: unknown layer kind {kind!r}")
-    return SequentialCheckpoint(tuple(layers))
+        current = f"{prefix}/out"
+
+    _check_model_name(model_name)
+    if not raw_layers:
+        raise ConversionError("checkpoint has no layers")
+    if not width:
+        raise ConversionError(
+            "checkpoint has no linear layer; input width is underdetermined")
+    return _graph(model_name, ir_version, (Tensor("x", "f32", (1, width)),),
+                  initializers, nodes, [current])
 
 
-def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
+def convert_layerdag(data: bytes | str, model_name: str,
+                     ir_version: int) -> InterchangeGraph:
+    """tf layer DAG -> graph whose inputs/outputs mirror the checkpoint's.
+
+    Each dag node produces a tensor carrying its own name, so inbound
+    references translate directly; a dense node lowers to a MatMul/Add pair.
+    """
     doc = loads_canonical(data, "checkpoint", MalformedDocumentError)
-    # outputs are tested after the nodes, which can raise ConversionError
+    # outputs are tested after the nodes, so a node's fault is named first
     tag, raw_inputs, raw_nodes, raw_outputs = fields(
         doc, "checkpoint", MalformedDocumentError,
         {"format_tag": None, "inputs": OBJECT.list(nonempty=True),
@@ -156,9 +184,13 @@ def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
                              {"name": NAME,
                               "shape": POSITIVE.list(nonempty=True)})
         _expect("/" not in name, f"input '{name}': name contains '/'")
-        inputs.append(DagInput(name, tuple(shape)))
+        inputs.append(Tensor(name, "f32", shape))
 
-    nodes: dict[str, DagNode] = {}
+    initializers: list[Tensor] = []
+    nodes: list[GraphNode] = []
+    # no checkpoint name holds a '/', so one that does could only reach a
+    # tensor of the lowering ("<node>/mm")
+    unresolved = []
     for name, raw in raw_nodes.items():
         where = f"node '{name}'"
         _expect(name and "/" not in name,
@@ -168,186 +200,39 @@ def parse_layerdag(data: bytes | str) -> LayerDagCheckpoint:
             {"op": None, "inbound": _NAMES},
             {"params": (None, None), "attrs": (None, None)})
         _expect(kind in _DAG_OPS, f"{where}: unknown op {kind!r}")
-        kernel = bias = axis = None
+        unresolved += [(name, ref) for ref in inbound if "/" in ref]
         if kind == "dense":
             kernel, bias = fields(params, f"{where} params",
                                   MalformedDocumentError,
                                   {"kernel": None, "bias": None})
             kernel = _parse_matrix(kernel, f"{where} kernel")
-            bias = _parse_vector(bias, f"{where} bias")
-            if len(kernel[0]) != len(bias):
-                raise ConversionError(
-                    f"{where}: kernel has {len(kernel[0])} output columns "
-                    f"but bias has {len(bias)} entries")
+            _dense(name, tuple(inbound), kernel,
+                   _parse_vector(bias, f"{where} bias"), name, initializers,
+                   nodes)
         else:
             _expect(params is None, f"{where}: only dense takes params")
         if kind in ("softmax", "concat"):
             (axis,) = fields(attrs, f"{where} attrs", MalformedDocumentError,
                              _AXIS)
+            attrs = {"axis": axis}
         else:
             _expect(attrs is None, f"{where}: '{kind}' takes no attrs")
-        nodes[name] = DagNode(kind, tuple(inbound), kernel=kernel,
-                              bias=bias, axis=axis)
-
+        if kind != "dense":
+            nodes.append(GraphNode(name, _OP_TYPE[kind], inbound, (name,),
+                                   attrs or {}))
     check(raw_outputs, _NAMES, "checkpoint: 'outputs'",
           MalformedDocumentError)
-    return LayerDagCheckpoint(tuple(inputs), nodes, tuple(raw_outputs))
 
-
-# ---------------------------------------------------------------------------
-# conversion to interchange graphs
-
-
-def _check_model_name(model_name: str) -> None:
-    if not model_name or "/" in model_name:
-        raise ConversionError(
-            f"model name {model_name!r} must be non-empty and contain no '/'")
-
-
-def _weight_tensors(prefix: str, columns_by_row: np.ndarray,
-                    bias: np.ndarray) -> tuple[Tensor, Tensor]:
-    # columns_by_row is already [in, out]; callers transpose if needed
-    return (Tensor(f"{prefix}/weight", "f32", columns_by_row.shape,
-                   columns_by_row),
-            Tensor(f"{prefix}/bias", "f32", (1, len(bias)), bias))
-
-
-def convert_sequential(ckpt: SequentialCheckpoint, model_name: str,
-                       ir_version: int) -> InterchangeGraph:
-    """Sequential stack -> graph with one input "x" and one output.
-
-    Each linear layer lowers to MatMul(x, W^T) + Add(bias); node ids are
-    "layer<i>/<op>".  The input width comes from the first linear layer, so
-    a checkpoint with no linear layer at all is underdetermined and rejected.
-    """
     _check_model_name(model_name)
-    if not ckpt.layers:
-        raise ConversionError("checkpoint has no layers")
-
-    width = next((len(layer.weight[0]) for layer in ckpt.layers
-                  if layer.kind == "linear"), None)
-    if width is None:
+    if unresolved:
         raise ConversionError(
-            "checkpoint has no linear layer; input width is underdetermined")
-
-    initializers: list[Tensor] = []
-    nodes: list[GraphNode] = []
-    current = "x"
-    graph_input = Tensor("x", "f32", (1, width))
-
-    for i, layer in enumerate(ckpt.layers):
-        prefix = f"layer{i}"
-        if layer.kind == "linear":
-            assert layer.weight is not None and layer.bias is not None
-            n_in = len(layer.weight[0])
-            if n_in != width:
-                raise ConversionError(
-                    f"{prefix}: expects {n_in} inputs but the preceding "
-                    f"layer produces {width}")
-            weight, bias = _weight_tensors(prefix, layer.weight.T,
-                                           layer.bias)
-            initializers += [weight, bias]
-            nodes.append(GraphNode(f"{prefix}/matmul", "MatMul",
-                                   (current, weight.name), (f"{prefix}/mm",)))
-            nodes.append(GraphNode(f"{prefix}/add", "Add",
-                                   (f"{prefix}/mm", bias.name),
-                                   (f"{prefix}/out",)))
-            width = len(layer.weight)
-        else:
-            attrs = {} if layer.axis is None else {"axis": layer.axis}
-            nodes.append(GraphNode(f"{prefix}/{layer.kind}",
-                                   _ACT_OP[layer.kind],
-                                   (current,), (f"{prefix}/out",), attrs))
-        current = f"{prefix}/out"
-
-    graph = InterchangeGraph(
-        name=model_name,
-        ir_version=ir_version,
-        inputs=(graph_input,),
-        outputs=(Tensor(current, "f32", (1, width)),),
-        initializers=tuple(initializers),
-        nodes=tuple(nodes),
-    )
-    report = validate_graph(graph)
-    if not report.ok:
-        raise ConversionError(
-            "conversion produced an invalid graph: " + report.violations[0])
-    return graph
-
-
-def convert_layerdag(ckpt: LayerDagCheckpoint, model_name: str,
-                     ir_version: int) -> InterchangeGraph:
-    """Layer DAG -> graph whose inputs/outputs mirror the checkpoint's.
-
-    Each dag node produces a tensor carrying its own name, so inbound
-    references translate directly; a dense node lowers to a MatMul/Add pair.
-    """
-    _check_model_name(model_name)
-    known = {inp.name for inp in ckpt.inputs} | set(ckpt.nodes)
-    for name, node in ckpt.nodes.items():
-        for ref in node.inbound:
-            if ref not in known:
-                raise ConversionError(
-                    f"node '{name}' references unresolved name '{ref}'")
-    for name in ckpt.outputs:
-        if name not in ckpt.nodes:
+            "node '%s' references unresolved name '%s'" % unresolved[0])
+    for name in raw_outputs:
+        if name not in raw_nodes:
             raise ConversionError(
                 f"checkpoint output '{name}' is not a node")
-
-    initializers: list[Tensor] = []
-    nodes: list[GraphNode] = []
-    for name, node in ckpt.nodes.items():
-        if node.kind == "dense":
-            assert node.kernel is not None and node.bias is not None
-            if len(node.inbound) != 1:
-                raise ConversionError(
-                    f"node '{name}': dense takes exactly one inbound, "
-                    f"has {len(node.inbound)}")
-            weight, bias = _weight_tensors(name, node.kernel, node.bias)
-            initializers += [weight, bias]
-            nodes.append(GraphNode(f"{name}/matmul", "MatMul",
-                                   (node.inbound[0], weight.name),
-                                   (f"{name}/mm",)))
-            nodes.append(GraphNode(f"{name}/add", "Add",
-                                   (f"{name}/mm", bias.name), (name,)))
-        elif node.kind == "concat":
-            if len(node.inbound) < 2:
-                raise ConversionError(
-                    f"node '{name}': concat needs at least two inbound names")
-            nodes.append(GraphNode(name, "Concat", node.inbound, (name,),
-                                   {"axis": node.axis}))
-        else:
-            if len(node.inbound) != 1:
-                raise ConversionError(
-                    f"node '{name}': {node.kind} takes exactly one inbound")
-            attrs = {} if node.axis is None else {"axis": node.axis}
-            nodes.append(GraphNode(name, _ACT_OP[node.kind], node.inbound,
-                                   (name,), attrs))
-
-    graph_inputs = tuple(Tensor(inp.name, "f32", inp.shape)
-                         for inp in ckpt.inputs)
-    skeleton = InterchangeGraph(
-        name=model_name,
-        ir_version=ir_version,
-        inputs=graph_inputs,
-        initializers=tuple(initializers),
-        nodes=tuple(nodes),
-    )
-    report = validate_graph(skeleton)
-    if not report.ok:
-        raise ConversionError(
-            "conversion produced an invalid graph: " + report.violations[0])
-    shapes = infer_shapes(skeleton)
-    outputs = tuple(Tensor(name, "f32", shapes[name])
-                    for name in ckpt.outputs)
-    return InterchangeGraph(
-        name=model_name,
-        ir_version=ir_version,
-        inputs=graph_inputs,
-        outputs=outputs,
-        initializers=tuple(initializers),
-        nodes=tuple(nodes),
-    )
+    return _graph(model_name, ir_version, tuple(inputs), initializers, nodes,
+                  raw_outputs)
 
 
 BACKENDS = ("pt", "tf")
@@ -357,10 +242,9 @@ def convert_checkpoint_bytes(backend: str, data: bytes, model_name: str,
                              ir_version: int) -> InterchangeGraph:
     """Convert one checkpoint document using the given backend frontend."""
     if backend == "pt":
-        return convert_sequential(parse_sequential(data), model_name,
-                                  ir_version)
+        return convert_sequential(data, model_name, ir_version)
     if backend == "tf":
-        return convert_layerdag(parse_layerdag(data), model_name, ir_version)
+        return convert_layerdag(data, model_name, ir_version)
     raise UnknownBackendError(f"unknown conversion backend {backend!r}")
 
 

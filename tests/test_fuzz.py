@@ -3,6 +3,9 @@
 Inputs are random JSON and YAML values, and valid documents with one
 field at any depth replaced, deleted or added.  A parser that lets any
 other exception escape reports it to a remote caller as internal_error.
+Checkpoints are read by converting them, and a checkpoint that converts
+must also pass ``runtime.prepare``: both make one check of structure and
+shapes.
 Task configs go further: every declared task argument may be of the wrong
 kind, and the task they describe must still fail with a typed error.
 YAML documents that are well formed read the same through libyaml as
@@ -19,11 +22,12 @@ from hypothesis import given, settings, strategies as st
 from hpcfair import _canonical
 from hpcfair.config import load_config, parse_config, serialize_config, \
     validate_config
-from hpcfair.converters import parse_layerdag, parse_sequential
+from hpcfair.converters import convert_checkpoint_bytes, convert_layerdag, \
+    convert_sequential
 from hpcfair.errors import HpcfairError, MalformedDocumentError
 from hpcfair.interchange import parse_graph
 from hpcfair.registry import ArtifactDraft
-from hpcfair.runtime import parse_tensor_set, to_array
+from hpcfair.runtime import parse_tensor_set, prepare, to_array
 from hpcfair.sandbox import parse_manifest
 from hpcfair.server import _parse_search
 from hpcfair.tasks import Dispatcher
@@ -149,14 +153,14 @@ def number_paths(doc, path=()):
 
 
 @st.composite
-def renumbered(draw, seed):
-    """``seed`` with one of its numbers replaced by an edge number."""
+def renumbered(draw, seed, numbers=EDGE_NUMBERS):
+    """``seed`` with one of its numbers replaced by one of ``numbers``."""
     doc = json.loads(json.dumps(seed))
     *path, last = draw(st.sampled_from(list(number_paths(doc))))
     node = doc
     for key in path:
         node = node[key]
-    node[last] = draw(EDGE_NUMBERS)
+    node[last] = draw(numbers)
     return doc
 
 
@@ -204,13 +208,34 @@ def test_parse_tensor_set_raises_only_typed_errors(data):
 @FUZZ
 @given(json_inputs(SEQUENTIAL))
 def test_parse_sequential_raises_only_typed_errors(data):
-    typed(parse_sequential, data)
+    typed(convert_sequential, data, "m", 1)
 
 
 @FUZZ
 @given(json_inputs(LAYERDAG))
 def test_parse_layerdag_raises_only_typed_errors(data):
-    typed(parse_layerdag, data)
+    typed(convert_layerdag, data, "m", 1)
+
+
+# what a checkpoint's structure is made of: small axes and widths, and the
+# names the seeds use
+PARTS = (st.integers(-1, 2) | st.sampled_from(["x", "d", "s", "c"])
+         | st.lists(st.sampled_from(["x", "d", "s", "c"]), min_size=1,
+                    max_size=3))
+
+
+@pytest.mark.parametrize("backend,seed", [("pt", SEQUENTIAL),
+                                          ("tf", LAYERDAG)], ids=["pt", "tf"])
+@FUZZ
+@given(data=st.data())
+def test_converted_checkpoints_are_prepared(backend, seed, data):
+    # what converts also runs: the converters and the runtime share one
+    # check of structure and shapes
+    doc = data.draw(mutated(seed, PARTS)
+                    | renumbered(seed, st.integers(-1, 2)))
+    graph = typed(convert_checkpoint_bytes, backend, json.dumps(doc), "m", 1)
+    if graph is not None:
+        prepare(graph)
 
 
 @FUZZ
@@ -329,9 +354,13 @@ def test_pure_loader_raises_only_typed_errors(monkeypatch):
 def test_seeds_are_valid_documents():
     assert parse_graph(json.dumps(GRAPH)).name == "g"
     assert parse_tensor_set(json.dumps(TENSORS)).names() == ["n", "x"]
-    assert len(parse_sequential(json.dumps(SEQUENTIAL)).layers) == 3
-    assert list(parse_layerdag(json.dumps(LAYERDAG)).nodes) == ["d", "s",
-                                                                  "c"]
+    pt = convert_sequential(json.dumps(SEQUENTIAL), "pt", 1)
+    assert [n.id for n in pt.nodes] == ["layer0/add", "layer0/matmul",
+                                        "layer1/relu", "layer2/softmax"]
+    assert [(t.name, t.shape) for t in pt.outputs] == [("layer2/out", (1, 2))]
+    tf = convert_layerdag(json.dumps(LAYERDAG), "tf", 1)
+    assert [n.id for n in tf.nodes] == ["c", "d/add", "d/matmul", "s"]
+    assert [(t.name, t.shape) for t in tf.outputs] == [("c", (1, 4))]
     assert parse_manifest(yaml.safe_dump(MANIFEST)).volume == "/app"
     assert validate_config(parse_config(yaml.safe_dump(CONFIG))).ok
     assert ArtifactDraft.from_dict(DRAFT).version == 2

@@ -322,6 +322,13 @@ class TestTensorData:
             assert renamed.data.tolist() == source.data.tolist()
             assert not renamed.data.flags.writeable
 
+    def test_renamed_shares_the_read_only_data(self):
+        t = Tensor("a", "f32", (2,), (1.0, 2.0))
+        renamed = t.renamed("b")
+        assert np.shares_memory(renamed.data, t.data)
+        assert renamed == Tensor("b", "f32", (2,), (1.0, 2.0))
+        assert renamed != t and t.name == "a"
+
     def test_a_length_the_shape_does_not_fit_is_reported_by_validate(self):
         g = InterchangeGraph(
             name="bad", ir_version=1,
@@ -522,6 +529,26 @@ class TestCompose:
         composed = compose_graphs(producer, consumer, [("y1", "x")])
         assert [t.name for t in composed.outputs] == ["sink/y", "two/y2"]
         assert validate_graph(composed).ok
+
+    def test_same_named_pair_with_clashing_node_ids_is_rejected(self):
+        with pytest.raises(CompositionError,
+                           match="invalid graph: duplicate node id 'a/n0'"):
+            compose_graphs(identity_graph(name="a"), identity_graph(name="a"),
+                           [("y", "x")])
+
+    def test_same_named_pair_with_disjoint_names_composes(self):
+        producer = identity_graph(name="a")
+        consumer = InterchangeGraph(
+            name="a", ir_version=1,
+            inputs=(Tensor("u", "f32", (1, 2)),),
+            outputs=(Tensor("v", "f32", (1, 2)),),
+            nodes=(GraphNode("m0", "Relu", ("u",), ("v",)),),
+        )
+        composed = compose_graphs(producer, consumer, [("y", "u")])
+        assert validate_graph(composed).ok
+        x = Tensor("a/x", "f32", (1, 2), (3.0, -4.5))
+        out = execute(composed, NamedTensorSet.from_tensors([x]))
+        assert out["a/v"].data.tolist() == [3.0, 0.0]
 
     def test_random_compositions_stay_valid(self):
         rng = random.Random(7)

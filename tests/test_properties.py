@@ -7,7 +7,9 @@ property is vacuous if it emits invalid graphs.
 
 import json
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,11 +17,12 @@ import oracle
 from graphgen import random_graph
 from hpcfair._canonical import _YAML_DEPTH
 from hpcfair.config import parse_config
-from hpcfair.converters import parse_layerdag, parse_sequential
+from hpcfair.converters import convert_layerdag, convert_sequential
 from hpcfair.errors import HpcfairError, InvalidArtifactError
 from hpcfair.interchange import (
     GraphNode,
     Tensor,
+    compose_graphs,
     parse_graph,
     serialize_graph,
     validate_graph,
@@ -88,6 +91,37 @@ def test_generated_documents_round_trip_canonically():
         blob = serialize_graph(g)
         assert parse_graph(blob) == g
         assert serialize_graph(parse_graph(blob)) == blob
+
+
+def test_distinct_named_pairs_compose_into_valid_graphs():
+    # compose_graphs validates only a same-named pair: under distinct
+    # prefixes two valid graphs always compose into a valid graph
+    rng = random.Random(1586)
+    for trial in range(100):
+        dtype = ("f32", "f64", "i64")[trial % 3]
+        producer, consumer = (
+            replace(parse_graph(json.dumps(random_graph(rng, dtype,
+                                                        str(trial)).doc)),
+                    name=name) for name in ("p", "c"))
+        # bind each consumer input to a free producer output of its shape,
+        # or else to a new producer output held in an initializer
+        free, feeds, binding = list(producer.outputs), [], []
+        for t in consumer.inputs:
+            src = next((o for o in free if o.shape == t.shape), None)
+            if src is None:
+                src = Tensor(f"feed:{t.name}", dtype, t.shape,
+                             np.zeros(t.numel))
+                feeds.append(src)
+            else:
+                free.remove(src)
+            binding.append((src.name, t.name))
+        producer = replace(
+            producer, initializers=producer.initializers + tuple(feeds),
+            outputs=producer.outputs + tuple(Tensor(f.name, dtype, f.shape)
+                                             for f in feeds))
+        composed = compose_graphs(producer, consumer, binding)
+        report = validate_graph(composed)
+        assert report.ok, (trial, report.violations)
 
 
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1,
@@ -170,8 +204,11 @@ def test_malformed_upload_bodies_are_rejected(body):
 @pytest.mark.parametrize("parse,code", [
     (parse_graph, "malformed_document"),
     (parse_tensor_set, "malformed_document"),
-    (parse_sequential, "malformed_document"),
-    (parse_layerdag, "malformed_document"),
+    pytest.param(lambda doc: convert_sequential(doc, "m", 1),
+                 "malformed_document",
+                 id="parse_sequential-malformed_document"),
+    pytest.param(lambda doc: convert_layerdag(doc, "m", 1),
+                 "malformed_document", id="parse_layerdag-malformed_document"),
     (parse_config, "invalid_config"),
     (parse_manifest, "malformed_document"),
 ], ids=lambda v: getattr(v, "__name__", v))
