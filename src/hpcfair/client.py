@@ -15,11 +15,15 @@ asks for its status with ``wait``, so the server answers when it ends.
 
 from __future__ import annotations
 
+import http.client
 import logging
 import os
 import time
+from contextlib import closing
 from pathlib import Path
+from urllib.parse import quote, urlencode, urlsplit
 
+from ._canonical import loads_canonical
 from .config import TaskConfig, parse_config, relative_paths
 from .errors import ConfigError, HpcfairError
 from .tasks import Dispatcher, TaskResult
@@ -30,42 +34,65 @@ _POLL_TIMEOUT = 60.0
 _TIMEOUT = 30.0  # seconds to connect, and to wait for a reply to begin
 
 
-def request(address: str, method: str, path: str, *,
-            token: str | None = None, **kwargs):
-    """One call to an hpcfair server: returns the envelope's ``data``, or
-    the bytes of an octet-stream response.  A failure raises HpcfairError
-    with the server's code and the envelope's ``data`` as details; an
-    unreachable address or a reply without an envelope raises one naming
-    the address, as does one that gives no reply within ``timeout``
-    (``_TIMEOUT`` unless given).  Uses module-level ``requests.get``/``post``
-    (no Session).
-    """
-    import requests
+def _connect(address: str) -> http.client.HTTPConnection:
+    """An unopened connection; ConfigError unless http(s)://host[:port]."""
+    try:
+        parts = urlsplit(address)
+        kind = {"http": http.client.HTTPConnection,
+                "https": http.client.HTTPSConnection}[parts.scheme]
+        if parts.hostname:
+            return kind(parts.hostname, parts.port)
+    except (KeyError, ValueError):  # ValueError: a bad port or IPv6 host
+        pass
+    raise ConfigError(f"server address {address!r} is not "
+                      "http://host[:port] or https://host[:port]")
 
+
+def request(address: str, method: str, path: str, *,
+            token: str | None = None, data: bytes | None = None,
+            params: dict | None = None,
+            timeout: tuple[float, float] | None = None, connection=None):
+    """One call to an hpcfair server, on ``connection`` if given, else on a
+    connection of its own: returns the envelope's ``data``, or the bytes of
+    an octet-stream reply.  A failure raises HpcfairError with the server's
+    code and the envelope's ``data`` as details; an unreachable address, no
+    reply within ``timeout`` (``(connect, read)`` seconds, ``_TIMEOUT`` each
+    unless given) or a reply without an envelope raises one naming it.
+    """
+    conn = connection or _connect(address)
+    connect_s, read_s = timeout or (_TIMEOUT, _TIMEOUT)
+    query = "?" + urlencode(params) if params else ""
     headers = {"Authorization": f"Bearer {token}"} if token else {}
-    send = requests.post if method == "POST" else requests.get
-    kwargs.setdefault("timeout", _TIMEOUT)
     try:
-        response = send(f"{address}{path}", headers=headers, **kwargs)
-    except requests.Timeout as exc:  # a ReadTimeout is no ConnectionError
-        raise HpcfairError(f"no reply from {address}: {exc}",
+        if conn.sock is None:
+            conn.timeout = connect_s
+            conn.connect()
+        conn.sock.settimeout(read_s)
+        conn.request(method, quote(urlsplit(address).path + path) + query,
+                     data, headers)
+        response = conn.getresponse()
+        body = response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        what = "no reply from" if isinstance(exc, TimeoutError) \
+            else "cannot reach"
+        raise HpcfairError(f"{what} {address}: {exc}",
                            code="connection_error") from None
-    except requests.ConnectionError as exc:
-        raise HpcfairError(f"cannot reach {address}: {exc}",
-                           code="connection_error") from None
-    if response.ok and response.headers.get("Content-Type") == \
+    finally:
+        if connection is None:
+            conn.close()
+    if response.status < 400 and response.getheader("Content-Type") == \
             "application/octet-stream":
-        return response.content
+        return body
     try:
-        body = response.json()
-        if body["ok"]:
-            return body["data"]
-        code, message = body["error"]["code"], body["error"]["message"]
-    except (ValueError, TypeError, KeyError):
+        doc = loads_canonical(body, "reply", HpcfairError)
+        if doc["ok"]:
+            return doc["data"]
+        code, message = doc["error"]["code"], doc["error"]["message"]
+    except (HpcfairError, TypeError, KeyError):
         raise HpcfairError(
-            f"{method} {address}{path} answered {response.status_code} "
+            f"{method} {address}{path} answered {response.status} "
             "without an hpcfair envelope", code="bad_response") from None
-    raise HpcfairError(message, code=code, details=body.get("data"))
+    raise HpcfairError(message, code=code, details=doc.get("data"))
 
 
 class TaskFailed(HpcfairError):
@@ -163,22 +190,26 @@ class ModelAPI:
         return result
 
     def _submit_http(self, raw: bytes) -> TaskResult:
-        task_id = request(self.address, "POST", "/v1/tasks",
-                          token=self.token, data=raw)["task_id"]
-        deadline = time.monotonic() + _POLL_TIMEOUT
-        while True:
-            # the server holds the reply until the task ends (RFC 6202)
-            wait = max(deadline - time.monotonic(), 0.0)
-            data = request(self.address, "GET", f"/v1/tasks/{task_id}",
-                           token=self.token, params={"wait": wait},
-                           timeout=(_TIMEOUT, wait + _TIMEOUT))
-            if data["status"] != "running":
-                return TaskResult(data["task_id"], data["status"],
-                                  tuple(data["outputs"]), tuple(data["log"]),
-                                  data["error"])
-            if time.monotonic() >= deadline:
-                raise HpcfairError(f"task {task_id} did not finish within "
-                                   f"{_POLL_TIMEOUT:.0f}s")
+        # the task's POST and its polls share one connection (RFC 9112, 9)
+        with closing(_connect(self.address)) as conn:
+            task_id = request(self.address, "POST", "/v1/tasks",
+                              token=self.token, data=raw,
+                              connection=conn)["task_id"]
+            deadline = time.monotonic() + _POLL_TIMEOUT
+            while True:
+                # the server holds the reply until the task ends (RFC 6202)
+                wait = max(deadline - time.monotonic(), 0.0)
+                data = request(self.address, "GET", f"/v1/tasks/{task_id}",
+                               token=self.token, params={"wait": wait},
+                               timeout=(_TIMEOUT, wait + _TIMEOUT),
+                               connection=conn)
+                if data["status"] != "running":
+                    return TaskResult(data["task_id"], data["status"],
+                                      tuple(data["outputs"]),
+                                      tuple(data["log"]), data["error"])
+                if time.monotonic() >= deadline:
+                    raise HpcfairError(f"task {task_id} did not finish "
+                                       f"within {_POLL_TIMEOUT:.0f}s")
 
 
 # lowercase alias, kept for callers that write `api = modelAPI()`

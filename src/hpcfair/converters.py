@@ -98,7 +98,9 @@ def _graph(model_name: str, ir_version: int, inputs: tuple[Tensor, ...],
     accept it; ``outputs`` are declared with their inferred shapes."""
     graph = InterchangeGraph(model_name, ir_version, inputs,
                              initializers=initializers, nodes=nodes)
-    report = validate_graph(graph)
+    # validated with its outputs, which have no shape until inferred
+    report = validate_graph(replace(graph, outputs=tuple(
+        Tensor(name, "f32", ()) for name in outputs)))
     try:
         if not report.ok:
             raise InvalidGraphError(report.violations[0])

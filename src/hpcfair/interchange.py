@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -42,13 +43,6 @@ _ATTR = Kind("an integer, integer sequence or string", "attributes",
 
 Shape = tuple[int, ...]
 AttrValue = Any  # int | tuple[int, ...] | str
-
-
-def shape_numel(shape: Sequence[int]) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +76,7 @@ class Tensor:
 
     @property
     def numel(self) -> int:
-        return shape_numel(self.shape)
+        return math.prod(self.shape)
 
     def renamed(self, name: str) -> "Tensor":
         """The same tensor under ``name``, sharing its read-only data."""
@@ -216,9 +210,13 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
 
     node_outputs = {name for node in g.nodes for name in node.outputs}
     initializer_names = {t.name for t in g.initializers}
+    declared: set[str] = set()
     for t in g.outputs:
         if t.name not in node_outputs and t.name not in initializer_names:
             v.append(f"output {t.name} produced by no node or initializer")
+        if t.name in declared:
+            v.append(f"duplicate output name '{t.name}'")
+        declared.add(t.name)
 
     if not any(msg.startswith("duplicate node id") for msg in v):
         try:
@@ -349,9 +347,9 @@ def _reshape_shape(attrs, shapes):
     target = attrs["target_shape"]
     if not _DIMS.test(target):
         raise _Expected(f"target_shape of non-negative integers, got {target!r}")
-    if shape_numel(a) != shape_numel(target):
-        raise _Expected(f"target_shape with {shape_numel(a)} elements, "
-                        f"got {list(target)} ({shape_numel(target)})")
+    if math.prod(a) != math.prod(target):
+        raise _Expected(f"target_shape with {math.prod(a)} elements, "
+                        f"got {list(target)} ({math.prod(target)})")
     return tuple(target)
 
 
@@ -554,7 +552,7 @@ def _parse_tensor(doc: Any, *, with_data: bool, where: str) -> Tensor:
         _INITIALIZER if with_data else _TENSOR)
     _expect(dtype in DTYPES, f"tensor '{name}': unknown dtype {dtype!r}")
     if with_data:
-        _expect(len(data[0]) == shape_numel(shape),
+        _expect(len(data[0]) == math.prod(shape),
                 f"tensor '{name}': data length {len(data[0])} does not match "
                 f"shape {shape}")
         data = [numbers(data[0], dtype, f"tensor '{name}'")]

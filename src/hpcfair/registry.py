@@ -62,12 +62,7 @@ def normalize_tag(tag: str) -> str:
 
 
 def normalize_tags(tags: Iterable[str]) -> tuple[str, ...]:
-    seen = []
-    for tag in tags:
-        norm = normalize_tag(tag)
-        if norm and norm not in seen:
-            seen.append(norm)
-    return tuple(sorted(seen))
+    return tuple(sorted({normalize_tag(tag) for tag in tags} - {""}))
 
 
 @dataclass(frozen=True)
@@ -190,8 +185,6 @@ class SearchQuery:
 
 
 def _token_of(cred: Credential | str | None) -> str | None:
-    if cred is None:
-        return None
     return cred.token if isinstance(cred, Credential) else cred
 
 

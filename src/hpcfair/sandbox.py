@@ -34,7 +34,7 @@ import secrets
 import shutil
 import signal
 import subprocess
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path, PurePosixPath
 from typing import Mapping
 
@@ -91,16 +91,7 @@ class RunRecord:
     device_requested: str = "cpu"
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "image_digest": self.image_digest,
-            "input_digest": self.input_digest,
-            "output_digest": self.output_digest,
-            "exit_status": self.exit_status,
-            "captured_log": self.captured_log,
-            "errors": list(self.errors),
-            "device_requested": self.device_requested,
-        }
+        return {**asdict(self), "errors": list(self.errors)}
 
 
 _COMMAND = Kind("a non-empty command string", "",
@@ -183,12 +174,8 @@ def digest_paths(root: Path, relpaths: tuple[str, ...]) -> str:
 
 
 def _walk_files(root: Path) -> list[str]:
-    found = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for filename in filenames:
-            full = Path(dirpath) / filename
-            found.append(full.relative_to(root).as_posix())
-    return found
+    return [(Path(dirpath) / name).relative_to(root).as_posix()
+            for dirpath, _, names in os.walk(root) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +257,17 @@ def run_container(image: ImageRecord, run_root: str | Path,
         shutil.rmtree(workspace, ignore_errors=True)
         raise
 
-    errors = []
     missing = [p for p in manifest.declared_outputs
                if not (workspace / p).is_file()]
-    for relpath in missing:
-        errors.append(f"missing-output: {relpath}")
-    output_digest = None
-    if not missing:
-        output_digest = digest_paths(workspace, manifest.declared_outputs)
-
     record = RunRecord(
         run_id=run_id,
         image_digest=image.image_digest,
         input_digest=input_digest,
-        output_digest=output_digest,
+        output_digest=None if missing else digest_paths(
+            workspace, manifest.declared_outputs),
         exit_status=proc.returncode,
         captured_log=out + err,
-        errors=tuple(errors),
+        errors=tuple(f"missing-output: {p}" for p in missing),
         device_requested=device,
     )
     if runs_log is not None:

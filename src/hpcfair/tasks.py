@@ -17,7 +17,7 @@ import hashlib
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -40,13 +40,8 @@ class TaskResult:
     error: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "task_id": self.task_id,
-            "status": self.status,
-            "outputs": list(self.outputs),
-            "log": list(self.log),
-            "error": self.error,
-        }
+        return {**asdict(self), "outputs": list(self.outputs),
+                "log": list(self.log)}
 
 
 def _now() -> str:

@@ -1,14 +1,21 @@
 """Client verbs and the command-line interface."""
 
+import contextlib
+import http.client
 import json
+import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
 
-from hpcfair import client
+import hpcfair
+from hpcfair import client, server as server_module
 from hpcfair.client import ModelAPI, TaskFailed, modelAPI, request
 from hpcfair.cli import main
 from hpcfair.errors import ConfigError, HpcfairError
@@ -19,24 +26,69 @@ from conftest import absolute_config, build_demo_workspace, hold_tasks, \
 
 
 def count_polls(monkeypatch) -> tuple[list, list]:
-    """Record the keyword arguments of each ``requests.get`` and the
-    seconds of each ``time.sleep`` this thread makes from here on."""
+    """Record the keyword arguments of each GET ``client.request`` sends
+    and the seconds of each ``time.sleep`` this thread makes from here
+    on."""
     polls, sleeps = [], []
-    real_get, real_sleep = requests.get, time.sleep
+    real_request, real_sleep = client.request, time.sleep
     this = threading.current_thread()
 
-    def get(url, **kwargs):
-        polls.append(kwargs)
-        return real_get(url, **kwargs)
+    def send(address, method, path, **kwargs):
+        if method == "GET":
+            polls.append(kwargs)
+        return real_request(address, method, path, **kwargs)
 
     def sleep(seconds):
         if threading.current_thread() is this:
             sleeps.append(seconds)
         real_sleep(seconds)
 
-    monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setattr(client, "request", send)
     monkeypatch.setattr(time, "sleep", sleep)
     return polls, sleeps
+
+
+@contextlib.contextmanager
+def raw_server(reply: bytes):
+    """A listener on a raw socket that reads each request whole, sends
+    ``reply`` (nothing when empty) and closes the connection; yields its
+    address and the request line of each request it read."""
+    seen = []
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                data = b""
+                while b"\r\n\r\n" not in data and (chunk := conn.recv(4096)):
+                    data += chunk
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = re.search(rb"(?i)content-length: *(\d+)", head)
+                while length and len(body) < int(length.group(1)) and \
+                        (chunk := conn.recv(4096)):
+                    body += chunk
+                seen.append(head.split(b"\r\n")[0].decode())
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1], seen
+    finally:
+        stop.set()
+        thread.join()
+        listener.close()
+
+
+BAD_ADDRESSES = ["localhost:1", "ftp://127.0.0.1:1", "http://",
+                 "http://127.0.0.1:notaport", "http://[::1"]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +192,8 @@ class TestModelAPIOverHttp:
         def send(*args, **kwargs):
             raise AssertionError("a request was sent")
 
-        monkeypatch.setattr(requests, "get", send)
-        monkeypatch.setattr(requests, "post", send)
+        monkeypatch.setattr(client, "request", send)
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", send)
         api = ModelAPI(address="http://127.0.0.1:1", token="t")
         with pytest.raises(ConfigError, match="absolute path or a registry "
                            "pid") as err:
@@ -190,14 +242,7 @@ class TestModelAPIOverHttp:
         # the server accepts the task but hands back an id it never made
         monkeypatch.setattr(server, "submit_task",
                             lambda cfg: "task-999999-00000000")
-        polls = []
-        real_get = requests.get
-
-        def get(url, **kwargs):
-            polls.append(url)
-            return real_get(url, **kwargs)
-
-        monkeypatch.setattr(requests, "get", get)
+        polls, _ = count_polls(monkeypatch)
         api = ModelAPI(address=server.address, token=publisher.token)
         started = time.monotonic()
         with pytest.raises(HpcfairError) as err:
@@ -251,15 +296,78 @@ class TestModelAPIOverHttp:
             assert err.value.code == "connection_error"
         assert time.monotonic() - started < 5.0
 
-    def test_reply_without_envelope_names_the_address(self, monkeypatch):
-        reply = requests.Response()
-        reply.status_code = 502
-        reply.headers["Content-Type"] = "text/html"
-        reply._content = b"<html>bad gateway</html>"
-        monkeypatch.setattr(requests, "get", lambda url, **kw: reply)
-        with pytest.raises(HpcfairError, match="http://proxy:9") as err:
-            request("http://proxy:9", "GET", "/v1/search")
+    def test_reply_without_envelope_names_the_address(self):
+        reply = (b"HTTP/1.1 502 Bad Gateway\r\nContent-Type: text/html\r\n"
+                 b"Content-Length: 24\r\n\r\n<html>bad gateway</html>")
+        with raw_server(reply) as (address, seen):
+            with pytest.raises(HpcfairError, match=address) as err:
+                request(address, "GET", "/v1/search")
         assert err.value.code == "bad_response"
+        assert "answered 502 without an hpcfair envelope" in err.value.message
+        assert seen == ["GET /v1/search HTTP/1.1"]
+
+    @pytest.mark.parametrize("address", BAD_ADDRESSES)
+    def test_a_malformed_address_is_invalid_config(self, demo_workspace,
+                                                   monkeypatch, address):
+        def send(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", send)
+        with pytest.raises(ConfigError, match=re.escape(repr(address))):
+            request(address, "GET", "/v1/search")
+        api = ModelAPI(address=address, token="t")
+        with pytest.raises(ConfigError, match=re.escape(repr(address))):
+            api.conversion(absolute_config(demo_workspace, "conversion.yaml"))
+
+    def test_a_task_is_one_connection_with_one_post_and_one_get(
+            self, demo_workspace, server, publisher, monkeypatch):
+        accepted, handled = [], []
+        real_accept = server._httpd.get_request
+
+        def get_request():
+            accepted.append(real_accept())
+            return accepted[-1]
+
+        def counted(method):
+            real = getattr(server_module._Handler, method)
+
+            def handle(handler):
+                handled.append((method, handler.connection))
+                return real(handler)
+            monkeypatch.setattr(server_module._Handler, method, handle)
+
+        monkeypatch.setattr(server._httpd, "get_request", get_request)
+        counted("do_GET")
+        counted("do_POST")
+        api = ModelAPI(address=server.address, token=publisher.token)
+        assert api.conversion(absolute_config(
+            demo_workspace, "conversion.yaml")).status == "succeeded"
+        assert len(accepted) == 1
+        assert handled == [("do_POST", accepted[0][0]),
+                           ("do_GET", accepted[0][0])]
+
+    def test_a_post_without_reply_is_not_resent(self, demo_workspace):
+        with raw_server(b"") as (address, seen):
+            api = ModelAPI(address=address, token="t")
+            with pytest.raises(HpcfairError, match=address) as err:
+                api.conversion(absolute_config(demo_workspace,
+                                               "conversion.yaml"))
+        assert err.value.code == "connection_error"
+        assert seen == ["POST /v1/tasks HTTP/1.1"]
+
+    def test_the_client_does_not_import_requests(self):
+        probe = ("import sys, hpcfair.cli\n"
+                 "from hpcfair.client import request\n"
+                 "from hpcfair.errors import HpcfairError\n"
+                 "try:\n"
+                 "    request('http://127.0.0.1:1', 'GET', '/v1/search')\n"
+                 "except HpcfairError:\n"
+                 "    pass\n"
+                 "print('requests' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, cwd=Path(hpcfair.__file__).parents[1]).stdout
+        assert out.strip() == "False"
 
     def test_unreachable_address_names_it(self, demo_workspace):
         api = ModelAPI(address="http://127.0.0.1:1", token="t")
@@ -430,6 +538,13 @@ class TestCli:
 class TestCliRemote:
     """The same commands with --addr: same output, server error codes."""
 
+    @pytest.mark.parametrize("address", BAD_ADDRESSES)
+    def test_a_malformed_address_exits_1(self, capsys, address):
+        assert main(["--addr", address, "search", "--tags", "a"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid_config: ")
+        assert repr(address) in err
+
     @pytest.fixture
     def pushed(self, tmp_path, server, publisher):
         meta = write_meta(tmp_path / "meta.json")
@@ -472,12 +587,13 @@ class TestCliRemote:
 
     def test_pull_unknown_pid_exits_1(self, tmp_path, server, publisher,
                                       capsys):
-        code = main(["--addr", server.address, "--token", publisher.token,
-                     "pull", "hpcf-0000000000000000dead",
-                     "--out", str(tmp_path / "x.bin")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: unknown_pid:")
-        assert not (tmp_path / "x.bin").exists()
+        # a pid with a space or a non-ASCII letter is sent percent-encoded
+        for pid in ("hpcf-0000000000000000dead", "no such pid \u00e9"):
+            code = main(["--addr", server.address, "--token", publisher.token,
+                         "pull", pid, "--out", str(tmp_path / "x.bin")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: unknown_pid:")
+            assert not (tmp_path / "x.bin").exists()
 
     def test_duplicate_push_exits_1(self, server, publisher, pushed, capsys):
         meta, content, _ = pushed

@@ -238,6 +238,7 @@ SINGLE_FAULTS = {
     "tf-relu-two-inbounds": ("tf", dag({"d": {
         "op": "relu", "inbound": ["x", "x"]}})),
     "tf-output-not-a-node": ("tf", dag({"d": dense()}, outputs=["x"])),
+    "tf-duplicate-output": ("tf", dag({"d": dense()}, outputs=["d", "d"])),
     "tf-cycle": ("tf", dag({"d": {"op": "relu", "inbound": ["e"]},
                             "e": {"op": "relu", "inbound": ["d"]}})),
     "tf-node-named-like-input": ("tf", dag(
@@ -257,6 +258,12 @@ def test_single_fault_checkpoints_are_conversion_errors(backend, data,
         store.register_artifact(data, draft, publisher)
     assert store.all_records() == []
     assert not [p for p in store.blob_dir.rglob("*") if p.is_file()]
+
+
+def test_a_duplicate_output_is_named():
+    with pytest.raises(ConversionError, match="duplicate output name 'd'"):
+        convert_checkpoint_bytes("tf", dag({"d": dense()}, outputs=["d", "d"]),
+                                 "m", ir_version=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graph model: validation, ordering, shapes, serialization, composition."""
 
+import dataclasses
 import json
 import random
 
@@ -79,6 +80,12 @@ class TestValidate:
         assert not report.ok
         assert "output x produced by no node or initializer" \
             in report.violations
+
+    def test_duplicate_output_name_is_a_violation(self):
+        g = identity_graph()
+        report = validate_graph(dataclasses.replace(g, outputs=g.outputs * 2))
+        assert not report.ok
+        assert report.violations == ("duplicate output name 'y'",)
 
     def test_minimal_identity_graph_is_valid(self):
         report = validate_graph(identity_graph())
