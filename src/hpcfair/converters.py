@@ -14,8 +14,8 @@ checking the document itself (``malformed_document``) and, once it is read,
 only what a graph cannot show: the model name, a pt stack with no linear
 layer, and tf outputs and references that can name no node.  ``_graph``
 then builds the interchange graph and leaves every structural and shape
-check to ``validate_graph`` and ``infer_shapes``, the rule the runtime
-applies too; what they refuse is a ``ConversionError`` in either format.
+check to the one pass over a graph (``interchange._checked``) that the
+runtime runs too; what it refuses is a ``ConversionError`` in either format.
 Converted graphs carry f32 tensors; weights are snapped onto the f32 grid as
 they are read, so serialization prints exact values.  Linear/dense layers
 assume batch-1 inputs [1, n]: the bias is materialized as a [1, out]
@@ -37,8 +37,8 @@ from ._canonical import INT, LIST, NAME, OBJECT, POSITIVE, STR, Kind, check, \
 from .config import TaskConfig, as_list
 from .errors import ConfigError, ConversionError, InvalidGraphError, \
     MalformedDocumentError, ShapeMismatchError, UnknownBackendError
-from .interchange import GraphNode, InterchangeGraph, Tensor, _expect, \
-    infer_shapes, numbers, serialize_graph, validate_graph
+from .interchange import GraphNode, InterchangeGraph, Tensor, _checked, \
+    _expect, numbers, serialize_graph
 
 logger = logging.getLogger(__name__)
 
@@ -94,17 +94,13 @@ def _dense(prefix: str, inbound: tuple[str, ...], kernel: np.ndarray,
 def _graph(model_name: str, ir_version: int, inputs: tuple[Tensor, ...],
            initializers: list[Tensor], nodes: list[GraphNode],
            outputs: list[str]) -> InterchangeGraph:
-    """The converted graph, once ``validate_graph`` and ``infer_shapes``
-    accept it; ``outputs`` are declared with their inferred shapes."""
-    graph = InterchangeGraph(model_name, ir_version, inputs,
-                             initializers=initializers, nodes=nodes)
-    # validated with its outputs, which have no shape until inferred
-    report = validate_graph(replace(graph, outputs=tuple(
-        Tensor(name, "f32", ()) for name in outputs)))
+    """The converted graph, once the interchange pass ``_checked`` accepts
+    it; ``outputs`` are declared with their inferred shapes."""
+    # checked with its outputs, whose shape () stands in until inferred
+    graph = InterchangeGraph(model_name, ir_version, inputs, tuple(
+        Tensor(name, "f32", ()) for name in outputs), initializers, nodes)
     try:
-        if not report.ok:
-            raise InvalidGraphError(report.violations[0])
-        shapes = infer_shapes(graph)
+        shapes = _checked(graph)[1]
     except (InvalidGraphError, ShapeMismatchError) as exc:
         raise ConversionError(
             f"conversion produced an invalid graph: {exc}") from None

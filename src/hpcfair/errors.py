@@ -47,7 +47,7 @@ class InvalidGraphError(HpcfairError):
     code = "invalid_graph"
 
 
-class CycleError(HpcfairError):
+class CycleError(InvalidGraphError):  # a structural fault, coded apart
     code = "graph_cycle"
 
 

@@ -6,7 +6,9 @@ initializers, each holding its numbers as one flat, read-only, owned array.
 The module provides structural validation, deterministic topological
 ordering, shape inference, a canonical byte serialization (``.onnx`` files
 in this system are these documents, not protobuf), and graph composition for
-stitching a producer model into a consumer model.
+stitching a producer model into a consumer model.  One pass, ``_checked``,
+checks, sorts and shapes a graph for conversion, composition,
+``infer_shapes`` and ``runtime.prepare``.
 
 All types are immutable values; every operation here is a pure function, so
 graphs can be shared freely across threads.
@@ -153,8 +155,8 @@ def _check_tensor_spec(t: Tensor, scope: str, *, want_data: bool | None,
         out.append(f"{where} must not carry data")
 
 
-def validate_graph(g: InterchangeGraph) -> ValidationReport:
-    """Check every structural invariant; violations name the offender."""
+def _violations(g: InterchangeGraph) -> list[str]:
+    """Every structural fault short of a cycle, each naming its offender."""
     v: list[str] = []
 
     if not POSITIVE.test(g.ir_version):
@@ -208,22 +210,24 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
                 v.append(f"node '{node.id}' consumes tensor '{in_name}' which "
                          "is produced nowhere in the graph")
 
-    node_outputs = {name for node in g.nodes for name in node.outputs}
-    initializer_names = {t.name for t in g.initializers}
     declared: set[str] = set()
     for t in g.outputs:
-        if t.name not in node_outputs and t.name not in initializer_names:
+        if set(producers.get(t.name, ())) <= {"graph input"}:
             v.append(f"output {t.name} produced by no node or initializer")
         if t.name in declared:
             v.append(f"duplicate output name '{t.name}'")
         declared.add(t.name)
+    return v
 
+
+def validate_graph(g: InterchangeGraph) -> ValidationReport:
+    """Check every structural invariant; violations name the offender."""
+    v = _violations(g)
     if not any(msg.startswith("duplicate node id") for msg in v):
         try:
             _topo_order(g)
         except CycleError as exc:
             v.append(str(exc))
-
     return ValidationReport.from_violations(v)
 
 
@@ -231,7 +235,7 @@ def validate_graph(g: InterchangeGraph) -> ValidationReport:
 # topological order
 
 
-def _topo_order(g: InterchangeGraph) -> list[str]:
+def _topo_order(g: InterchangeGraph) -> list[GraphNode]:
     produced_by: dict[str, str] = {}
     for node in g.nodes:
         for name in node.outputs:
@@ -264,7 +268,8 @@ def _topo_order(g: InterchangeGraph) -> list[str]:
         stuck = {node_id for node_id, n in pending.items() if n > 0}
         on_cycle = _find_cycle_member(deps, stuck)
         raise CycleError(f"cycle detected involving node '{on_cycle}'")
-    return order
+    by_id = {node.id: node for node in g.nodes}
+    return [by_id[node_id] for node_id in order]
 
 
 def _find_cycle_member(deps: dict[str, set[str]], stuck: set[str]) -> str:
@@ -282,7 +287,7 @@ def _find_cycle_member(deps: dict[str, set[str]], stuck: set[str]) -> str:
 
 def topo_sort(g: InterchangeGraph) -> list[str]:
     """Dependency-respecting node order; ties broken by ascending node id."""
-    return _topo_order(g)
+    return [node.id for node in _topo_order(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +430,17 @@ def _contract_violations(node: GraphNode, spec: OpSpec) -> list[str]:
                 for attr in spec.required_attrs if attr not in node.attributes]
 
 
+def _apply_rule(node: GraphNode, spec: OpSpec,
+                input_shapes: Sequence[Shape]) -> Shape:
+    try:
+        return spec.shape_rule(node.attributes, input_shapes)
+    except _Expected as exc:
+        actual = ", ".join(str(list(s)) for s in input_shapes)
+        raise ShapeMismatchError(
+            f"node '{node.id}' ({node.op_type}): expected {exc}, "
+            f"got [{actual}]") from None
+
+
 def node_output_shapes(node: GraphNode,
                        input_shapes: Sequence[Shape]) -> list[Shape]:
     """The op's shape rule; raises ShapeMismatchError naming the node, or
@@ -433,59 +449,39 @@ def node_output_shapes(node: GraphNode,
     violations = _contract_violations(node, spec)
     if violations:
         raise InvalidGraphError(violations[0])
-    try:
-        return [spec.shape_rule(node.attributes, input_shapes)]
-    except _Expected as exc:
-        actual = ", ".join(str(list(s)) for s in input_shapes)
-        raise ShapeMismatchError(
-            f"node '{node.id}' ({node.op_type}): expected {exc}, "
-            f"got [{actual}]") from None
+    return [_apply_rule(node, spec, input_shapes)]
 
 
-def infer_shapes(g: InterchangeGraph,
-                 input_shapes: Mapping[str, Sequence[int]] | None = None,
-                 ) -> dict[str, Shape]:
-    """Shape of every tensor in the graph, derived along topological order.
+def _checked(g: InterchangeGraph) -> tuple[list[GraphNode], dict[str, Shape]]:
+    """The graph's nodes in topological order and every tensor's shape:
+    raises the first ``validate_graph`` violation, sorts once (CycleError)
+    and applies each shape rule along that order (ShapeMismatchError)."""
+    violations = _violations(g)
+    if violations:
+        raise InvalidGraphError(violations[0])
+    order = _topo_order(g)
+    shapes = {t.name: t.shape for t in g.inputs + g.initializers}
+    for node in order:
+        shapes[node.outputs[0]] = _apply_rule(
+            node, OPERATORS[node.op_type],
+            [shapes[name] for name in node.inputs])
+    return order, shapes
 
-    ``input_shapes`` defaults to the graph's declared input shapes; when
-    given it must cover all inputs and agree with the declarations (there are
-    no symbolic dimensions).
-    """
-    shapes: dict[str, Shape] = {}
-    for t in g.inputs:
-        declared = t.shape
-        if input_shapes is not None:
-            if t.name not in input_shapes:
-                raise ShapeMismatchError(
-                    f"no shape supplied for graph input '{t.name}'")
-            supplied = tuple(input_shapes[t.name])
-            if supplied != declared:
-                raise ShapeMismatchError(
-                    f"input '{t.name}': supplied shape {list(supplied)} does "
-                    f"not match declared {list(declared)}")
-        shapes[t.name] = declared
-    for t in g.initializers:
-        shapes[t.name] = t.shape
 
-    by_id = {node.id: node for node in g.nodes}
-    for node_id in _topo_order(g):
-        node = by_id[node_id]
-        try:
-            ins = [shapes[name] for name in node.inputs]
-        except KeyError as exc:  # the wording of validate_graph
-            raise InvalidGraphError(
-                f"node '{node.id}' consumes tensor '{exc.args[0]}' which is "
-                "produced nowhere in the graph") from None
-        outs = node_output_shapes(node, ins)
-        for name, shape in zip(node.outputs, outs):
-            shapes[name] = shape
-
+def _check_outputs(g: InterchangeGraph, shapes: Mapping[str, Shape]) -> None:
+    """Declared output shapes must be the inferred ones."""
     for t in g.outputs:
-        inferred = shapes.get(t.name)
-        if inferred is not None and inferred != t.shape:
+        if shapes[t.name] != t.shape:
             raise ShapeMismatchError(
                 f"output '{t.name}': declared shape {list(t.shape)} does not "
-                f"match inferred {list(inferred)}")
+                f"match inferred {list(shapes[t.name])}")
+
+
+def infer_shapes(g: InterchangeGraph) -> dict[str, Shape]:
+    """Shape of every tensor, from the one pass ``_checked``; the declared
+    output shapes must agree (inputs are as declared: no symbolic dims)."""
+    shapes = _checked(g)[1]
+    _check_outputs(g, shapes)
     return shapes
 
 
@@ -642,10 +638,15 @@ def compose_graphs(producer: InterchangeGraph, consumer: InterchangeGraph,
         if "/" in g.name:
             raise CompositionError(
                 f"{side} graph name '{g.name}' must not contain '/'")
-        report = validate_graph(g)
-        if not report.ok:
-            raise CompositionError(
-                f"{side} graph '{g.name}' is invalid: {report.violations[0]}")
+    try:  # a shape fault passes as it is
+        producer_shapes = infer_shapes(producer)
+    except InvalidGraphError as exc:  # a CycleError too
+        raise CompositionError(
+            f"producer graph '{producer.name}' is invalid: {exc}") from None
+    report = validate_graph(consumer)
+    if not report.ok:
+        raise CompositionError(f"consumer graph '{consumer.name}' is "
+                               f"invalid: {report.violations[0]}")
 
     producer_outputs = {t.name: t for t in producer.outputs}
     consumer_inputs = {t.name: t for t in consumer.inputs}
@@ -671,7 +672,6 @@ def compose_graphs(producer: InterchangeGraph, consumer: InterchangeGraph,
             "binding does not cover consumer inputs: "
             + ", ".join(sorted(unbound_consumer)))
 
-    producer_shapes = infer_shapes(producer)
     for src, dst in binding:
         src_shape = producer_shapes[src]
         dst_shape = consumer_inputs[dst].shape

@@ -1,12 +1,13 @@
 """Deterministic interpreter for interchange graphs.
 
-Nodes are evaluated in ``topo_sort`` order with numpy kernels operating in
+Nodes are evaluated in topological order with numpy kernels operating in
 the tensor's own dtype; there is no fusion, reordering, or broadcasting, so
 two executions of the same graph on the same inputs produce bit-identical
-results.  ``prepare`` checks a graph and binds it once into a ``Plan``,
-which ``Plan.run`` then runs on any number of inputs; ``execute`` is the
-two in one call.  ``device: "gpu"`` requests are honored on CPU with a logged
-warning; this runtime has no accelerator backend.
+results.  ``prepare`` takes a graph's order and shapes from the one pass
+of ``interchange`` and binds it once into a ``Plan``, which ``Plan.run``
+then runs on any number of inputs; ``execute`` is the two in one call.
+``device: "gpu"`` requests are honored on CPU with a logged warning; this
+runtime has no accelerator backend.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ from .interchange import (
     OpSpec,
     Shape,
     Tensor,
+    _check_outputs,
+    _checked,
     _parse_tensor,
     _tensor_to_doc,
     compose_graphs,
     node_output_shapes,
     op_spec,
     parse_graph,
-    topo_sort,
-    validate_graph,
 )
 
 logger = logging.getLogger(__name__)
@@ -210,39 +211,30 @@ def _input_array(spec: Tensor, inputs: NamedTensorSet) -> np.ndarray:
 def prepare(g: InterchangeGraph) -> Plan:
     """Check ``g`` once and bind each node to its kernel and slots.
 
-    Everything that does not depend on the inputs is checked here: the
-    graph's structure, then along topological order each node's dtypes,
-    arity and shapes, then the declared output shapes.
+    Everything that does not depend on the inputs is checked here.  The
+    one pass ``interchange._checked`` checks the graph's structure, sorts
+    it and infers every shape; then, along its order, each node's input
+    dtypes are checked as it is bound, and last the declared output shapes.
     """
-    report = validate_graph(g)
-    if not report.ok:
+    try:
+        order, shapes = _checked(g)
+    except InvalidGraphError as exc:  # a CycleError too
         raise InvalidGraphError(
-            "cannot execute invalid graph: " + report.violations[0])
+            f"cannot execute invalid graph: {exc}") from None
 
     known = g.inputs + g.initializers
     slots = {t.name: i for i, t in enumerate(known)}
     dtypes = {t.name: t.dtype for t in known}
-    shapes = {t.name: t.shape for t in known}
-    by_id = {node.id: node for node in g.nodes}
     steps = []
-    for node_id in topo_sort(g):
-        node = by_id[node_id]
+    for node in order:
         spec = _checked_op(node, [dtypes[name] for name in node.inputs])
-        (shape,) = node_output_shapes(node,
-                                      [shapes[name] for name in node.inputs])
         out = node.outputs[0]
         slots[out] = len(slots)
         dtypes[out] = dtypes[node.inputs[0]]
-        shapes[out] = shape
         steps.append(_Step(node.id, spec.kernel, node.attributes,
                            tuple(slots[name] for name in node.inputs),
-                           slots[out], shape))
-
-    for t in g.outputs:
-        if shapes[t.name] != t.shape:
-            raise ShapeMismatchError(
-                f"output '{t.name}': produced shape {list(shapes[t.name])} "
-                f"does not match declared {list(t.shape)}")
+                           slots[out], shapes[out]))
+    _check_outputs(g, shapes)
     return Plan(g.inputs, tuple(map(to_array, g.initializers)), tuple(steps),
                 tuple((t.name, dtypes[t.name], slots[t.name])
                       for t in g.outputs))

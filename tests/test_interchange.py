@@ -12,6 +12,7 @@ import oracle
 from hpcfair.errors import (
     CompositionError,
     CycleError,
+    HpcfairError,
     InvalidGraphError,
     MalformedDocumentError,
     ShapeMismatchError,
@@ -244,7 +245,7 @@ class TestShapes:
 
     def test_mlp_output_shape_matches_zero_input_execution(self):
         g = mlp_graph()
-        shapes = infer_shapes(g, {"x": (1, 4)})
+        shapes = infer_shapes(g)
         assert shapes["out"] == (1, 2)
         # dual route: actually run the graph on zeros and compare all shapes
         zeros = NamedTensorSet.from_tensors(
@@ -254,8 +255,11 @@ class TestShapes:
             assert produced[name].shape == shapes[name]
 
     def test_supplied_input_shape_must_match_declared(self):
+        # shapes are inferred from the declared inputs; a supplied input of
+        # another shape is refused when the graph runs
+        x = Tensor("x", "f32", (1, 5), (0.0,) * 5)
         with pytest.raises(ShapeMismatchError, match="'x'"):
-            infer_shapes(mlp_graph(), {"x": (1, 5)})
+            execute(mlp_graph(), NamedTensorSet.from_tensors([x]))
 
     @pytest.mark.parametrize("node, match", [
         (GraphNode("n", "Add", ("x", "z"), ("y",)),
@@ -565,6 +569,103 @@ class TestCompose:
             consumer = identity_graph(name=f"c{trial}", shape=(1, width))
             composed = compose_graphs(producer, consumer, [("y", "x")])
             assert validate_graph(composed).ok
+
+
+# ---------------------------------------------------------------------------
+# one fault per graph, as each entry point reports it
+
+
+def faulty(second, outputs=(Tensor("y", "f32", (1, 2)),), initializers=()):
+    """x -> n0 Relu -> h -> ``second`` -> y, where ``second`` (or the other
+    arguments) carries at most one fault."""
+    return InterchangeGraph(
+        name="g", ir_version=1, inputs=(Tensor("x", "f32", (1, 2)),),
+        outputs=outputs, initializers=initializers,
+        nodes=(GraphNode("n0", "Relu", ("x",), ("h",)), second))
+
+
+def structural(violation, code="invalid_graph"):
+    """How each entry point reports a fault ``validate_graph`` names."""
+    return {
+        "infer_shapes": (code, violation),
+        "execute": ("invalid_graph", "cannot execute invalid graph: "
+                    + violation),
+        "producer": ("composition_error",
+                     f"producer graph 'g' is invalid: {violation}"),
+        "consumer": ("composition_error",
+                     f"consumer graph 'g' is invalid: {violation}"),
+    }
+
+
+NODE_SHAPE = ("shape_mismatch", "node 'n1' (Add): expected equal shapes "
+              "(no broadcasting), got [[1, 2], [1, 3]]")
+OUTPUT_SHAPE = ("shape_mismatch", "output 'y': declared shape [2, 1] does "
+                "not match inferred [1, 2]")
+
+# name: (graph, {entry point: (code, message), or None where accepted})
+FAULT_TABLE = {
+    "none": (faulty(GraphNode("n1", "Identity", ("h",), ("y",))),
+             dict.fromkeys(("infer_shapes", "execute", "producer",
+                            "consumer"))),
+    "unproduced": (faulty(GraphNode("n1", "Identity", ("ghost",), ("y",))),
+                   structural("node 'n1' consumes tensor 'ghost' which is "
+                              "produced nowhere in the graph")),
+    "missing-attribute": (faulty(GraphNode("n1", "Softmax", ("h",), ("y",))),
+                          structural("node 'n1' (Softmax) is missing "
+                                     "required attribute 'axis'")),
+    "arity": (faulty(GraphNode("n1", "Add", ("h",), ("y",))),
+              structural("node 'n1' (Add) expects 2 inputs, has 1")),
+    "duplicate-node-id": (faulty(GraphNode("n0", "Identity", ("h",), ("y",))),
+                          structural("duplicate node id 'n0'")),
+    "duplicate-output": (faulty(GraphNode("n1", "Identity", ("h",), ("y",)),
+                                outputs=(Tensor("y", "f32", (1, 2)),) * 2),
+                         structural("duplicate output name 'y'")),
+    "cycle": (InterchangeGraph(
+        name="g", ir_version=1, inputs=(Tensor("x", "f32", (1, 2)),),
+        outputs=(Tensor("y", "f32", (1, 2)),),
+        nodes=(GraphNode("n0", "Relu", ("y",), ("h",)),
+               GraphNode("n1", "Identity", ("h",), ("y",)))),
+        structural("cycle detected involving node 'n0'", code="graph_cycle")),
+    "node-shape": (faulty(GraphNode("n1", "Add", ("h", "b"), ("y",)),
+                          initializers=(Tensor("b", "f32", (1, 3),
+                                               (1.0, 2.0, 3.0)),)),
+                   {"infer_shapes": NODE_SHAPE, "execute": NODE_SHAPE,
+                    "producer": NODE_SHAPE, "consumer": None}),
+    "declared-output-shape": (
+        faulty(GraphNode("n1", "Identity", ("h",), ("y",)),
+               outputs=(Tensor("y", "f32", (2, 1)),)),
+        {"infer_shapes": OUTPUT_SHAPE, "execute": OUTPUT_SHAPE,
+         "producer": OUTPUT_SHAPE, "consumer": None}),
+    "mixed-dtypes": (faulty(GraphNode("n1", "Add", ("h", "b"), ("y",)),
+                            initializers=(Tensor("b", "i64", (1, 2),
+                                                 (1, 2)),)),
+                     {"infer_shapes": None,
+                      "execute": ("execution_error",
+                                  "node 'n1': mixed input dtypes f32 and i64"),
+                      "producer": None, "consumer": None}),
+}
+
+ENTRY_POINTS = {
+    "infer_shapes": infer_shapes,
+    "execute": lambda g: execute(g, NamedTensorSet.from_tensors(
+        [Tensor("x", "f32", (1, 2), (1.0, -2.0))])),
+    "producer": lambda g: compose_graphs(g, identity_graph(name="c"),
+                                         [("y", "x")]),
+    "consumer": lambda g: compose_graphs(identity_graph(name="p"), g,
+                                         [("y", "x")]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("fault", FAULT_TABLE)
+def test_a_single_fault_is_reported_alike(fault, entry):
+    graph, expected = FAULT_TABLE[fault]
+    if expected[entry] is None:
+        ENTRY_POINTS[entry](graph)
+        return
+    with pytest.raises(HpcfairError) as err:
+        ENTRY_POINTS[entry](graph)
+    assert (err.value.code, str(err.value)) == expected[entry]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import oracle
+from hpcfair import interchange
 from hpcfair.config import load_config, parse_config
-from hpcfair.converters import run_conversion_task
+from hpcfair.converters import convert_checkpoint_bytes, run_conversion_task
 from hpcfair.errors import (
     ConfigError,
     ExecutionError,
@@ -25,6 +26,7 @@ from hpcfair.interchange import (
     GraphNode,
     InterchangeGraph,
     Tensor,
+    parse_graph,
     serialize_graph,
 )
 from hpcfair.runtime import (
@@ -268,6 +270,18 @@ class TestPlan:
             execute(g, NamedTensorSet.from_tensors(
                 [t("x", (2, 2), (1.0, 2.0, 3.0, 4.0))]))
 
+    def test_a_shape_fault_is_named_before_a_dtype_fault(self):
+        # shapes come from the one pass; dtypes are checked as nodes bind
+        g = InterchangeGraph(
+            name="two-faults", ir_version=1,
+            inputs=(Tensor("x", "f32", (1, 2)),),
+            outputs=(Tensor("y", "f32", (1, 2)),),
+            initializers=(t("b", (1, 3), (1, 2, 3), dtype="i64"),),
+            nodes=(GraphNode("n", "Add", ("x", "b"), ("y",)),),
+        )
+        with pytest.raises(ShapeMismatchError, match=r"^node 'n' \(Add\)"):
+            prepare(g)
+
     def test_a_plan_checks_every_run_inputs(self):
         plan = prepare(linear_graph())
         assert plan.run(NamedTensorSet.from_tensors(
@@ -277,6 +291,9 @@ class TestPlan:
         with pytest.raises(ExecutionError, match="supplied dtype f64"):
             plan.run(NamedTensorSet.from_tensors(
                 [t("x", (1, 2), (1.0, 0.0), dtype="f64")]))
+        with pytest.raises(ShapeMismatchError, match="'x'"):
+            plan.run(NamedTensorSet.from_tensors(
+                [t("x", (1, 3), (1.0, 0.0, 2.0))]))
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +486,43 @@ class TestInferenceTask:
             run_inference_task(cfg)
         assert ("executing on cpu (gpu unavailable in reference runtime)"
                 in caplog.text)
+
+
+# ---------------------------------------------------------------------------
+# one topological sort per graph checked
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """The names of the graphs the one topological sort is given."""
+    names = []
+    sort = interchange._topo_order
+
+    def counted(g):
+        names.append(g.name)
+        return sort(g)
+
+    monkeypatch.setattr(interchange, "_topo_order", counted)
+    return names
+
+
+@pytest.mark.parametrize("backend,ckpt", [("pt", "encoder.ckpt"),
+                                          ("tf", "decoder.ckpt")])
+def test_a_conversion_sorts_once(demo_workspace, sorts, backend, ckpt):
+    data = (demo_workspace.root / "ckpt" / ckpt).read_bytes()
+    convert_checkpoint_bytes(backend, data, "m", ir_version=1)
+    assert sorts == ["m"]
+
+
+def test_a_plan_miss_sorts_once_per_graph(demo_workspace, sorts):
+    root = demo_workspace.root
+    run_conversion_task(load_config(root / "conversion.yaml"))
+    sorts.clear()
+    prepare(parse_graph((root / "encoder.onnx").read_bytes()))
+    assert sorts == ["encoder"]
+    sorts.clear()
+    run_inference_task(load_config(root / "collaboration.yaml"))
+    assert sorts == ["encoder", "decoder", "encoder+decoder"]
 
 
 # ---------------------------------------------------------------------------
