@@ -5,7 +5,10 @@ identifiers are globally unique with zero coordination and duplicate uploads
 are detected by construction.  Metadata lives in an append-only log
 (``meta.log``), credentials only as hashes in ``tokens``, and blobs
 under ``blobs/<hh>/<fullhash>``.  Each handle follows both logs from where
-it last stopped, and a push checks for duplicates and appends under
+it last stopped and holds each record once, as its canonical bytes, beside
+the keys search filters and sorts on and a tag index (tag -> pids); reads
+decode records from those bytes, and the server sends them as they are.  A
+push finds duplicates by pid, the content hash's prefix, and appends under
 ``meta.log``'s lock.  Pushing a "pt" or "tf" model automatically registers a
 companion interchange artifact with a "converted-from" provenance edge; the
 two records are one ``meta.log`` batch, kept or lost together.
@@ -22,10 +25,10 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from ._canonical import LIST, OBJECT, POSITIVE, STR, Kind, append_records, \
-    appending, check, fields, read_records
+    appending, check, dumps_canonical, fields, loads_canonical, read_records
 from .converters import BACKENDS, convert_checkpoint_bytes
 from .errors import (
     AuthError,
@@ -184,6 +187,24 @@ class SearchQuery:
                     or self.title_substring)
 
 
+class _Indexed(NamedTuple):
+    """A record as the index holds it: its canonical bytes (no newline) and
+    the keys search filters and sorts on; the tags are in ``_by_tag``."""
+
+    canonical: bytes
+    title_lower: str
+    artifact_type: str
+    backend_tag: str
+    created_at: str
+
+
+def _decoded(stored: list[bytes]) -> list[ArtifactRecord]:
+    """Records from their canonical bytes, decoded as one JSON list."""
+    rows = loads_canonical(b"[" + b",".join(stored) + b"]",
+                           "indexed records", IntegrityError)
+    return list(map(ArtifactRecord.from_dict, rows))
+
+
 def _token_of(cred: Credential | str | None) -> str | None:
     return cred.token if isinstance(cred, Credential) else cred
 
@@ -210,8 +231,8 @@ class Registry:
         self.root.mkdir(parents=True, exist_ok=True)
         self.blob_dir.mkdir(exist_ok=True)
         self._lock = threading.Lock()  # guards the index and _follow
-        self._records: dict[str, ArtifactRecord] = {}
-        self._by_hash: dict[str, str] = {}  # content_hash -> pid
+        self._records: dict[str, _Indexed] = {}  # pid -> record
+        self._by_tag: dict[str, set[str]] = {}  # tag -> pids
         # token_hash -> (account, role, expires_at) of unsalted rows; the
         # salted rows of older stores are scanned
         self._tokens: dict[str, tuple[str, str, str]] = {}
@@ -227,9 +248,13 @@ class Registry:
         """Index what meta.log and tokens gained since the last call."""
         with self._lock:
             for row in self._new_rows(self.meta_log):
-                record = ArtifactRecord.from_dict(row)
-                self._records[record.pid] = record
-                self._by_hash[record.content_hash] = record.pid
+                record = ArtifactRecord.from_dict(row)  # interns the keys
+                self._records[record.pid] = _Indexed(
+                    dumps_canonical(record.to_dict())[:-1],
+                    record.title.lower(), record.artifact_type,
+                    record.backend_tag, record.created_at)
+                for tag in record.tags:
+                    self._by_tag.setdefault(tag, set()).add(record.pid)
             for row in self._new_rows(self.token_file):
                 grant = row["account"], row["role"], row["expires_at"]
                 if row["salt"]:
@@ -331,14 +356,12 @@ class Registry:
 
         with appending(self.meta_log) as append:
             self._catch_up()  # other handles and processes push too
-            for record in records:
-                existing = self._by_hash.get(record.content_hash)
-                if existing is not None:
+            for record in records:  # a pid is its content's hash prefix
+                if record.pid in self._records:
                     raise DuplicateContentError(
-                        f"content already registered as {existing}",
-                        existing_pid=existing)
-            if len({record.content_hash for record in records}) != \
-                    len(records):
+                        f"content already registered as {record.pid}",
+                        existing_pid=record.pid)
+            if len({record.pid for record in records}) != len(records):
                 raise DuplicateContentError(
                     "model and its converted form hash identically",
                     existing_pid=records[0].pid)
@@ -418,12 +441,17 @@ class Registry:
     # -- retrieval ---------------------------------------------------------
 
     def fetch_metadata(self, pid: str) -> ArtifactRecord:
-        """Public read: Findable requires no credential."""
+        """Public read: Findable requires no credential.  The index holds
+        each record once, as its canonical bytes; this decodes them."""
+        return _decoded([self.record_bytes(pid)])[0]
+
+    def record_bytes(self, pid: str) -> bytes:
+        """The canonical bytes of a record, without the newline."""
         self._catch_up()
-        record = self._records.get(pid)
-        if record is None:
+        indexed = self._records.get(pid)
+        if indexed is None:
             raise UnknownPidError(f"unknown pid {pid}")
-        return record
+        return indexed.canonical
 
     def fetch_content(self, pid: str, cred: Credential | str) -> bytes:
         """Credentialed read (any role); bytes are hash-verified."""
@@ -445,28 +473,41 @@ class Registry:
     # -- search ------------------------------------------------------------
 
     def search(self, query: SearchQuery) -> list[ArtifactRecord]:
-        """All records matching every present field, newest first."""
+        """All records matching every present field, newest first, ties by
+        pid.  ``search_bytes`` selects them through the tag index; the
+        records are decoded from the canonical bytes the index holds."""
+        return _decoded(self.search_bytes(query))
+
+    def search_bytes(self, query: SearchQuery) -> list[bytes]:
+        """The canonical bytes of ``search``'s records, in its order.  Tags
+        are looked up in the tag index, smallest set first; the other
+        fields filter the indexed keys, and nothing is decoded."""
         if query.is_empty():
             raise ConfigError("search query requires at least one field")
         want_tags = normalize_tags(query.tags)
-        matches = []
-        for record in self.all_records():  # a snapshot: pushes may go on
-            if want_tags and not set(want_tags) <= set(record.tags):
-                continue
-            if query.artifact_type and \
-                    record.artifact_type != query.artifact_type:
-                continue
-            if query.backend_tag and record.backend_tag != query.backend_tag:
-                continue
-            if query.title_substring and \
-                    query.title_substring.lower() not in record.title.lower():
-                continue
-            matches.append(record)
-        matches.sort(key=lambda r: r.pid)
-        matches.sort(key=lambda r: r.created_at, reverse=True)
-        return matches
+        title = (query.title_substring or "").lower()
+        self._catch_up()
+        with self._lock:  # a snapshot: pushes may go on
+            if want_tags:
+                sets = sorted((self._by_tag.get(tag, set())
+                               for tag in want_tags), key=len)
+                pids = sets[0].intersection(*sets[1:])
+                candidates = [(pid, self._records[pid]) for pid in pids]
+            else:
+                candidates = self._records.items()
+            matches = [
+                (pid, indexed) for pid, indexed in candidates
+                if (not query.artifact_type
+                    or indexed.artifact_type == query.artifact_type)
+                and (not query.backend_tag
+                     or indexed.backend_tag == query.backend_tag)
+                and title in indexed.title_lower]
+        matches.sort(key=lambda match: match[0])
+        matches.sort(key=lambda match: match[1].created_at, reverse=True)
+        return [indexed.canonical for _, indexed in matches]
 
     def all_records(self) -> list[ArtifactRecord]:
         self._catch_up()
         with self._lock:
-            return list(self._records.values())
+            stored = [indexed.canonical for indexed in self._records.values()]
+        return _decoded(stored)

@@ -11,6 +11,9 @@ Handlers hold no mutable state of their own; everything shared lives in the
 registry (single-writer) and dispatcher (claim table), so the threading
 server needs no extra locks beyond the task table's.  The table keeps the
 last ``_RESULTS_KEPT`` finished results, so it does not grow with traffic.
+The record routes (metadata, search and a push's 201) send the canonical
+bytes the registry holds for each record, joined into the ``ok`` envelope,
+without decoding or re-encoding them.
 """
 
 from __future__ import annotations
@@ -186,7 +189,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
 
     def _send_json(self, status: int, body: dict) -> None:
-        payload = dumps_canonical(body)
+        self._send_payload(status, dumps_canonical(body))
+
+    def _send_records(self, status: int, key: str, records: bytes) -> None:
+        """``dumps_canonical(ok_body({key: ...}))`` around ``records``, the
+        registry's canonical bytes of one record or of a JSON list."""
+        self._send_payload(status, b'{"ok":true,"data":{"%s":%s}}\n'
+                           % (key.encode(), records))
+
+    def _send_payload(self, status: int, payload: bytes) -> None:
         self._send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
@@ -231,17 +242,15 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
 
         if parts[:2] == ["v1", "artifacts"] and len(parts) == 3:
-            record = self.app.registry.fetch_metadata(parts[2])
-            self._send_json(200, ok_body({"record": record.to_dict()}))
+            self._send_records(200, "record",
+                               self.app.registry.record_bytes(parts[2]))
         elif parts[:2] == ["v1", "artifacts"] and len(parts) == 4 \
                 and parts[3] == "content":
             blob = self.app.registry.fetch_content(parts[2], self._token())
             self._send_bytes(blob, content_digest(blob))
         elif parts == ["v1", "search"]:
-            query = _parse_search(url.query)
-            records = self.app.registry.search(query)
-            self._send_json(200, ok_body(
-                {"records": [r.to_dict() for r in records]}))
+            found = self.app.registry.search_bytes(_parse_search(url.query))
+            self._send_records(200, "records", _json_list(found))
         elif parts[:2] == ["v1", "tasks"] and len(parts) == 3:
             wait = _parse_wait(url.query)
             self._send_json(200, ok_body(self.app.task_status(parts[2],
@@ -258,8 +267,8 @@ class _Handler(BaseHTTPRequestHandler):
             meta, content = _split_upload(self._body())
             records = self.app.registry.register_artifact(
                 content, ArtifactDraft.from_dict(meta), token)
-            self._send_json(201, ok_body(
-                {"records": [r.to_dict() for r in records]}))
+            self._send_records(201, "records", _json_list(
+                [self.app.registry.record_bytes(r.pid) for r in records]))
         elif parts == ["v1", "tasks"]:
             self._authenticate("reader")
             cfg = parse_config(self._body())
@@ -273,6 +282,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(202, ok_body({"task_id": task_id}))
         else:
             raise HpcfairError(f"no route for {url.path}", code="not_found")
+
+
+def _json_list(items: list[bytes]) -> bytes:
+    return b"[" + b",".join(items) + b"]"
 
 
 def _parse_search(query_string: str) -> SearchQuery:

@@ -330,6 +330,88 @@ class TestSearch:
         assert [r.pid for r in hits] == sorted(r.pid for r in hits)
 
 
+def scan(records, query):
+    """Brute-force search over every record, by the documented rules."""
+    tags = {"-".join(tag.lower().split()) for tag in query.tags} - {""}
+    title = (query.title_substring or "").lower()
+    hits = [r for r in records
+            if tags <= set(r.tags)
+            and query.artifact_type in (None, "", r.artifact_type)
+            and query.backend_tag in (None, "", r.backend_tag)
+            and title in r.title.lower()]
+    hits.sort(key=lambda r: r.pid)
+    return sorted(hits, key=lambda r: r.created_at, reverse=True)
+
+
+class TestSearchOracle:
+    """``search`` equals a scan of ``all_records()`` on every field, before
+    and after a reopen and a cut torn tail."""
+
+    POOL = ("nlp", "vision", "speech-models", "v2")
+    QUERIES = (
+        SearchQuery(artifact_type="model"),
+        SearchQuery(artifact_type="dataset"),
+        SearchQuery(artifact_type="container-manifest"),
+        SearchQuery(backend_tag="onnx"),
+        SearchQuery(backend_tag="csv"),
+        SearchQuery(backend_tag="none"),
+        SearchQuery(title_substring="ENCODER"),
+        SearchQuery(title_substring="set 1"),
+        SearchQuery(title_substring="É"),
+        SearchQuery(tags=("absent",)),
+        SearchQuery(tags=("nlp", "absent")),
+        SearchQuery(tags=("  Speech   Models ",)),
+        SearchQuery(tags=(" NLP", "V2  ")),
+        SearchQuery(tags=("nlp",), artifact_type="model",
+                    backend_tag="onnx", title_substring="enc"),
+    )
+
+    def fill(self, store, cred):
+        rng = random.Random(24)
+        for i in range(12):
+            store.register_artifact(
+                make_model_checkpoint(f"m{i}"),
+                draft(f"{'Text' if i % 2 else 'Image'} Encoder {i}",
+                      tags=rng.sample(self.POOL, rng.randint(0, 4))), cred)
+        for i in range(30):
+            store.register_artifact(
+                f"set {i}".encode(),
+                draft(f"Set {i} ÉTÉ" if i % 3 else f"set {i}", "dataset",
+                      rng.choice(("csv", "jsonl")),
+                      tags=rng.sample(self.POOL, rng.randint(0, 4))), cred)
+        store.register_artifact(b"build", draft(
+            "Build", "container-manifest", "none", tags=["v2"]), cred)
+
+    def check(self, *handles):
+        for handle in handles:
+            records = handle.all_records()
+            for query in self.QUERIES:
+                assert handle.search(query) == scan(records, query), query
+        assert len({len(handle.all_records()) for handle in handles}) == 1
+
+    def test_search_equals_the_scan(self, tmp_path):
+        root = tmp_path / "r"
+        first = Registry(root)
+        cred = first.issue_token("alice", "publisher", 3600)
+        self.fill(first, cred)
+        self.check(first)
+        assert all(first.search(query) for query in self.QUERIES[:9])
+
+        reopened = Registry(root)
+        assert reopened.all_records() == first.all_records()
+        self.check(first, reopened)
+
+        with open(root / "meta.log", "ab") as fh:  # a crashed append
+            fh.write(dumps_canonical({"pid": "hpcf-torn"})[:-9])
+        self.check(first, reopened, Registry(root))
+        reopened.register_artifact(b"after", draft(
+            "Set After ÉTÉ", "dataset", "csv", tags=["NLP "]), cred)
+        assert b"hpcf-torn" not in (root / "meta.log").read_bytes()  # cut
+        self.check(first, reopened, Registry(root))
+        assert [r.title for r in Registry(root).search(SearchQuery(
+            title_substring="after"))] == ["Set After ÉTÉ"]
+
+
 # ---------------------------------------------------------------------------
 # integrity and persistence
 
@@ -650,8 +732,10 @@ class TestFollowingTheLogs:
 
         def searcher():
             while not done.is_set():
-                try:
+                try:  # a scan of the keys, and the tag index
                     store.search(SearchQuery(artifact_type="dataset"))
+                    hits = store.search(SearchQuery(tags=("c", "even")))
+                    assert all({"c", "even"} <= set(r.tags) for r in hits)
                 except Exception as exc:  # noqa: BLE001 - any is a failure
                     errors.append(exc)
                     return
@@ -663,8 +747,8 @@ class TestFollowingTheLogs:
         try:
             for i in range(300):
                 store.register_artifact(f"c{i}".encode(), draft(
-                    f"C{i}", artifact_type="dataset", backend="csv"),
-                    publisher)
+                    f"C{i}", artifact_type="dataset", backend="csv",
+                    tags=["c", "even" if i % 2 == 0 else "odd"]), publisher)
         finally:
             done.set()
             thread.join(timeout=60)
@@ -672,6 +756,7 @@ class TestFollowingTheLogs:
         assert not thread.is_alive()
         assert errors == []
         assert len(store.search(SearchQuery(artifact_type="dataset"))) == 300
+        assert len(store.search(SearchQuery(tags=("c", "even")))) == 150
 
     def test_corrupt_tokens_line_fails_when_the_store_opens(self, tmp_path):
         root = tmp_path / "r"

@@ -12,7 +12,7 @@ import requests
 from hpcfair import server as server_module
 from hpcfair._canonical import _YAML_DEPTH, dumps_canonical
 from hpcfair.registry import Registry, SearchQuery, content_digest
-from hpcfair.server import HpcfairServer
+from hpcfair.server import HpcfairServer, ok_body
 
 from conftest import absolute_config, build_demo_workspace, hold_tasks, \
     make_model_checkpoint
@@ -576,3 +576,70 @@ class TestProtocolMirrorsRegistry:
         via_http = requests.get(
             f"{server.address}/v1/artifacts/{pid}").json()["data"]["record"]
         assert via_http == store.fetch_metadata(pid).to_dict()
+
+    def test_record_replies_are_the_canonical_bytes(self, server, store,
+                                                    publisher,
+                                                    monkeypatch):
+        """Every record reply is byte for byte ``dumps_canonical`` of the
+        in-process result: pushes, metadata reads and searches."""
+        pushed = []
+        register = store.register_artifact
+
+        def recording(*args, **kwargs):
+            pushed.append(register(*args, **kwargs))
+            return pushed[-1]
+
+        monkeypatch.setattr(store, "register_artifact", recording)
+        pool = ["nlp", "vision", "audio", "encoder"]
+        uploads = [({**META, "title": "Modèle ☃ Encoder", "tags": ["nlp"]},
+                     make_model_checkpoint("unicode"))]
+        for i in range(5):  # 0 to 4 tags
+            uploads.append(({"title": f"Set {i} – ümlaut",
+                             "artifact_type": "dataset",
+                             "backend_tag": ("csv", "jsonl")[i % 2],
+                             "tags": pool[:i]}, f"set {i}".encode()))
+        replies = []
+        for meta, content in uploads:
+            r = push(server, publisher.token, meta=meta, content=content)
+            assert r.status_code == 201, r.text
+            replies.append(r.content)
+        assert len(pushed[0]) == 2  # the pt push and its companion
+        assert pushed[0][1].provenance == ((pushed[0][0].pid,
+                                            "converted-from"),)
+        assert {len(records[0].tags) for records in pushed[1:]} == \
+            {0, 1, 2, 3, 4}
+        for reply, records in zip(replies, pushed):
+            assert reply == dumps_canonical(ok_body(
+                {"records": [r.to_dict() for r in records]}))
+
+        for records in pushed:
+            for record in records:
+                r = requests.get(f"{server.address}/v1/artifacts/"
+                                 f"{record.pid}")
+                assert r.content == dumps_canonical(ok_body(
+                    {"record": store.fetch_metadata(record.pid).to_dict()}))
+
+        queries = [
+            ({"tags": "nlp"}, SearchQuery(tags=("nlp",))),
+            ({"tags": " NLP , Vision "}, SearchQuery(tags=("NLP", "Vision"))),
+            ({"tags": "nlp,vision,audio,encoder"},
+             SearchQuery(tags=("nlp", "vision", "audio", "encoder"))),
+            ({"tags": "absent"}, SearchQuery(tags=("absent",))),
+            ({"type": "dataset"}, SearchQuery(artifact_type="dataset")),
+            ({"backend": "onnx"}, SearchQuery(backend_tag="onnx")),
+            ({"title": "MODÈLE"}, SearchQuery(title_substring="MODÈLE")),
+            ({"title": "modèle"}, SearchQuery(title_substring="modèle")),
+            ({"title": "ümlaut", "backend": "jsonl", "tags": "nlp"},
+             SearchQuery(tags=("nlp",), backend_tag="jsonl",
+                         title_substring="ümlaut")),
+        ]
+        found = []
+        for params, query in queries:
+            r = requests.get(f"{server.address}/v1/search", params=params)
+            assert r.status_code == 200
+            found.append(store.search(query))
+            assert r.content == dumps_canonical(ok_body(
+                {"records": [rec.to_dict() for rec in found[-1]]})), params
+        # every query but the absent tag finds something
+        assert [bool(records) for records in found] == \
+            [params != {"tags": "absent"} for params, _ in queries]
