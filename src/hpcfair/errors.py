@@ -99,7 +99,7 @@ class DuplicateContentError(HpcfairError):
     code = "duplicate_content"
 
     def __init__(self, message: str, *, existing_pid: str):
-        super().__init__(message, details={"existing_pid": existing_pid})
+        super().__init__(message, details={"pid": existing_pid})
         self.existing_pid = existing_pid
 
 

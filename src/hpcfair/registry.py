@@ -459,13 +459,16 @@ class Registry:
         return self.read_blob_by_pid(pid)
 
     def read_blob_by_pid(self, pid: str) -> bytes:
-        """Trusted server-side read used by the task layer; hash-verified."""
-        record = self.fetch_metadata(pid)
-        path = self._blob_path(record.content_hash)
+        """Trusted server-side read used by the task layer; hash-verified.
+        Only the record's hash is needed, so no record is built."""
+        content_hash = loads_canonical(self.record_bytes(pid),
+                                       "indexed record",
+                                       IntegrityError)["content_hash"]
+        path = self._blob_path(content_hash)
         if not path.exists():
             raise IntegrityError(f"stored content for {pid} is missing")
         blob = path.read_bytes()
-        if content_digest(blob) != record.content_hash:
+        if content_digest(blob) != content_hash:
             raise IntegrityError(
                 f"stored content for {pid} failed its integrity check")
         return blob

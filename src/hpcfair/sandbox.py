@@ -36,7 +36,6 @@ import signal
 import subprocess
 from dataclasses import asdict, dataclass
 from pathlib import Path, PurePosixPath
-from typing import Mapping
 
 from ._canonical import NAME, OBJECT, STR, Kind, append_records, check, \
     dumps_canonical, fields, loads_yaml
@@ -207,7 +206,6 @@ def build_image(manifest: SandboxManifest, work_dir: str | Path,
 
 
 def run_container(image: ImageRecord, run_root: str | Path,
-                  input_overrides: Mapping[str, bytes] | None = None,
                   device: str = "cpu",
                   runs_log: Path | None = None) -> RunRecord:
     """Execute the image entrypoint in a private copy of the staged tree.
@@ -231,10 +229,6 @@ def run_container(image: ImageRecord, run_root: str | Path,
 
     shutil.copytree(image.staged_root, workspace)
     try:
-        for relpath, data in (input_overrides or {}).items():
-            target = workspace / _check_rel_path(relpath, "input_overrides")
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
         input_digest = digest_paths(workspace, manifest.declared_inputs)
         try:
             proc = subprocess.Popen(argv, cwd=workspace, env=env, text=True,

@@ -1,11 +1,13 @@
 """HTTP API over the registry and task dispatcher.
 
 Versioned under ``/v1``.  Bodies are UTF-8 JSON with a top-level ``ok``
-flag plus ``data`` or ``error{code, message}``; every failure carries a
-stable machine-readable code.  Artifact upload is a two-part body: one
-metadata JSON line, a newline, then the raw content bytes.  Task submission
-is asynchronous: POST returns 202 with a task id to poll; a poll with
-``?wait=<s>`` holds the reply until the task ends or the wait runs out.
+flag plus ``data`` or ``error{code, message}``; every failure is a raised
+HpcfairError with a stable machine-readable code, whose ``details`` are
+the envelope's ``data``.  A body is read whole, up to ``_BODY_LIMIT_BYTES``.
+Artifact upload is a two-part body: one metadata JSON line, a newline, then
+the raw content bytes.  Task submission is asynchronous: POST returns 202
+with a task id to poll; a poll with ``?wait=<s>`` holds the reply until the
+task ends or the wait runs out.
 
 Handlers hold no mutable state of their own; everything shared lives in the
 registry (single-writer) and dispatcher (claim table), so the threading
@@ -36,6 +38,7 @@ logger = logging.getLogger(__name__)
 _SHUTDOWN_POLL_SECONDS = 0.05  # stop() waits up to this long
 _WAIT_CAP_SECONDS = 30.0  # the longest a task poll is held (RFC 6202, section 2)
 _RESULTS_KEPT = 256  # finished results kept; older ids are unknown_task
+_BODY_LIMIT_BYTES = 256 * 2 ** 20  # a longer declared body is refused
 
 _STATUS_BY_CODE = {
     "unauthorized": 401,
@@ -46,6 +49,7 @@ _STATUS_BY_CODE = {
     "unknown_task": 404,
     "not_found": 404,
     "duplicate_content": 409,
+    "body_too_large": 413,
     "integrity_failure": 500,
     "internal_error": 500,
 }
@@ -175,11 +179,24 @@ class _Handler(BaseHTTPRequestHandler):
         return token
 
     def _body(self) -> bytes:
+        """The whole body its Content-Length declares, up to the bound."""
         raw = self.headers.get("Content-Length", "0").strip()
         if not (raw.isascii() and raw.isdigit()):
             raise MalformedDocumentError(f"invalid Content-Length {raw!r}")
+        # refused before any read; a length of more digits than the bound
+        # has is over it, and int() refuses thousands of digits
+        if len(raw.lstrip("0")) > len(str(_BODY_LIMIT_BYTES)) \
+                or int(raw) > _BODY_LIMIT_BYTES:
+            raise HpcfairError(f"request body is over the server's bound of "
+                               f"{_BODY_LIMIT_BYTES} bytes",
+                               code="body_too_large")
+        length = int(raw)
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise MalformedDocumentError(
+                f"request body ended after {len(body)} of {length} bytes")
         self._unread = False
-        return self.rfile.read(int(raw))
+        return body
 
     def _send_response(self, status: int) -> None:
         self.send_response(status)
@@ -205,11 +222,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _send_error(self, exc: HpcfairError) -> None:
-        # a duplicate upload names the artifact that already holds the bytes
-        data = {"pid": exc.details["existing_pid"]} \
-            if exc.code == "duplicate_content" else None
-        self._send_json(status_for(exc.code),
-                        error_body(exc.code, exc.message, data))
+        body = error_body(exc.code, exc.message, exc.details or None)
+        self._send_json(status_for(exc.code), body)
 
     def _send_bytes(self, blob: bytes, digest: str) -> None:
         self._send_response(200)
@@ -235,7 +249,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(exc)
         except Exception as exc:
             logger.exception("%s %s failed", self.command, self.path)
-            self._send_json(500, error_body("internal_error", str(exc)))
+            self._send_error(HpcfairError(str(exc)))
 
     def _route_get(self) -> None:
         url = urlparse(self.path)
@@ -274,10 +288,8 @@ class _Handler(BaseHTTPRequestHandler):
             cfg = parse_config(self._body())
             report = validate_config(cfg)
             if not report.ok:
-                self._send_json(400, error_body(
-                    "invalid_config", "config failed validation",
-                    {"violations": list(report.violations)}))
-                return
+                raise ConfigError("config failed validation", details={
+                    "violations": list(report.violations)})
             task_id = self.app.submit_task(cfg)
             self._send_json(202, ok_body({"task_id": task_id}))
         else:

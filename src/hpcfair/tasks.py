@@ -8,7 +8,8 @@ and releases the claim however it ends.  ``dispatch``, ``submit_many`` and
 the HTTP server all submit before they execute, so of two tasks writing the
 same file the later submission fails with a collision error, whatever order
 they run in, and re-running a config after completion is always allowed.
-Component failures never escape: they are captured into the TaskResult.
+Every failure, a refusal included, is an HpcfairError raised to ``execute``,
+which logs it and reports it in the TaskResult; none escapes.
 """
 
 from __future__ import annotations
@@ -123,64 +124,51 @@ class Dispatcher:
         return self.execute(cfg, self.submit(cfg))
 
     def execute(self, cfg: TaskConfig, task_id: str) -> TaskResult:
-        """Validate and run a submitted task, then release its claim; an
-        export path that is an existing directory, or lies under a regular
-        file, fails it as invalid."""
+        """Validate and run a submitted task, then release its claim; a
+        refusal (invalid config, collision, an export onto a directory or
+        under a regular file) fails it like any other failure."""
         with self._lock:
             paths, collision = self._queued.pop(task_id)
         log = [f"{_now()} task {task_id} accepted"]
         try:
             report = validate_config(cfg)
             if not report.ok:
-                return TaskResult(
-                    task_id, "failed", log=tuple(log),
-                    error={"code": "invalid_config",
-                           "message": "; ".join(report.violations)})
-            refused = collision or next(
-                (ConfigError(problem) for problem in map(_unwritable, paths)
-                 if problem), None)
-            if refused is not None:
-                return TaskResult(task_id, "failed", log=tuple(log),
-                                  error=refused.to_dict())
-            return self._route(cfg, task_id, log)
+                raise ConfigError("; ".join(report.violations))
+            if collision is not None:
+                raise collision
+            for problem in filter(None, map(_unwritable, paths)):
+                raise ConfigError(problem)
+            outputs = self._route(cfg, log)
+        except HpcfairError as exc:
+            logger.info("task %s failed: %s", task_id, exc.message)
+            error = exc.to_dict()
+        except Exception as exc:  # never let component bugs escape
+            logger.exception("task %s crashed", task_id)
+            error = HpcfairError(str(exc)).to_dict()
+        else:
+            log.append(f"{_now()} succeeded")
+            return TaskResult(task_id, "succeeded", outputs=outputs,
+                              log=tuple(log))
         finally:
             self._release(paths)
+        log.append(f"{_now()} failed: {error['message']}")
+        return TaskResult(task_id, "failed", log=tuple(log), error=error)
 
-    def _route(self, cfg: TaskConfig, task_id: str,
-               log: list[str]) -> TaskResult:
+    def _route(self, cfg: TaskConfig, log: list[str]) -> tuple[str, ...]:
         task = cfg.general.task
         log.append(f"{_now()} routing task '{task}'")
-        try:
-            if task == "conversion":
-                written = run_conversion_task(cfg)
-                outputs = tuple(str(p) for p in written)
-            elif task == "inference":
-                out = run_inference_task(cfg, store=self.store,
-                                         plans=self._plans)
-                outputs = (str(out),)
-            else:
-                export, record = run_container_task(
-                    cfg, store_root=self.store_root)
-                log.append(
-                    f"{_now()} run {record.run_id}: image "
-                    f"{record.image_digest[:12]} exit {record.exit_status} "
-                    f"input {record.input_digest[:12]} output "
-                    f"{(record.output_digest or 'none')[:12]}")
-                outputs = (str(export),)
-        except HpcfairError as exc:
-            log.append(f"{_now()} failed: {exc.message}")
-            logger.info("task %s failed: %s", task_id, exc.message)
-            return TaskResult(task_id, "failed", log=tuple(log),
-                              error=exc.to_dict())
-        except Exception as exc:  # never let component bugs escape
-            log.append(f"{_now()} failed: {exc}")
-            logger.exception("task %s crashed", task_id)
-            return TaskResult(task_id, "failed", log=tuple(log),
-                              error={"code": "internal_error",
-                                     "message": str(exc)})
-        log.append(f"{_now()} succeeded")
-        return TaskResult(task_id, "succeeded", outputs=outputs,
-                          log=tuple(log))
+        if task == "conversion":
+            return tuple(str(p) for p in run_conversion_task(cfg))
+        if task == "inference":
+            return (str(run_inference_task(cfg, store=self.store,
+                                           plans=self._plans)),)
+        export, record = run_container_task(cfg, store_root=self.store_root)
+        log.append(
+            f"{_now()} run {record.run_id}: image "
+            f"{record.image_digest[:12]} exit {record.exit_status} "
+            f"input {record.input_digest[:12]} output "
+            f"{(record.output_digest or 'none')[:12]}")
+        return (str(export),)
 
     def submit_many(self, configs: Sequence[TaskConfig],
                     worker_num: int = 1) -> list[TaskResult]:

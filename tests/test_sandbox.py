@@ -241,15 +241,6 @@ class TestRunContainer:
         run_container(image, tmp_path / "runs")
         assert digest_tree(image.staged_root) == before
 
-    def test_input_overrides_change_the_input_digest(self, tmp_path):
-        image = build_fixture_image(tmp_path)
-        plain = run_container(image, tmp_path / "runs")
-        patched = run_container(image, tmp_path / "runs",
-                                input_overrides={"data.txt": b"payload v2\n"})
-        assert patched.input_digest != plain.input_digest
-        assert patched.input_digest == oracle.content_digest(
-            [b"payload v2\n"])
-
     def test_exit_3_and_missing_output_are_recorded_not_raised(self,
                                                                tmp_path):
         project = write_container_project(tmp_path)

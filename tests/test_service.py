@@ -9,10 +9,14 @@ import time
 import pytest
 import requests
 
+from hpcfair import client
 from hpcfair import server as server_module
 from hpcfair._canonical import _YAML_DEPTH, dumps_canonical
-from hpcfair.registry import Registry, SearchQuery, content_digest
-from hpcfair.server import HpcfairServer, ok_body
+from hpcfair.config import parse_config, validate_config
+from hpcfair.errors import DuplicateContentError, HpcfairError
+from hpcfair.registry import ArtifactDraft, Registry, SearchQuery, \
+    content_digest
+from hpcfair.server import HpcfairServer, error_body, ok_body
 
 from conftest import absolute_config, build_demo_workspace, hold_tasks, \
     make_model_checkpoint
@@ -56,14 +60,25 @@ def gate(server):
     release.set()
 
 
-def read_until_closed(sock):
-    reply = b""
-    try:
-        while chunk := sock.recv(4096):
-            reply += chunk
-    except ConnectionResetError:  # closed with part of a body unread
-        pass
-    return reply
+def raw_post(server, path, headers, body=b"", shut=False):
+    """A POST on a socket of its own: the reply's status, head and body,
+    read until the server closes the connection."""
+    host, port = server.address.rsplit("/", 1)[-1].split(":")
+    request = (f"POST {path} HTTP/1.1\r\nHost: {host}\r\n" + "".join(
+        f"{key}: {value}\r\n" for key, value in headers.items())
+        + "\r\n").encode() + body
+    with socket.create_connection((host, int(port)), timeout=2) as sock:
+        sock.sendall(request)
+        if shut:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        try:
+            while chunk := sock.recv(4096):
+                reply += chunk
+        except ConnectionResetError:  # closed with part of a body unread
+            pass
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head, body
 
 
 def timed_get(url, **kwargs):
@@ -91,16 +106,17 @@ class TestArtifactEndpoints:
         r = push(server, publisher.token,
                  meta={**META, "title": "Other Name"})
         assert r.status_code == 409
-        body = r.json()
-        assert body["ok"] is False
-        assert body["error"]["code"] == "duplicate_content"
-        assert body["data"]["pid"] == first["pid"]
+        assert r.content == dumps_canonical(error_body(
+            "duplicate_content",
+            f"content already registered as {first['pid']}",
+            {"pid": first["pid"]}))
 
     def test_push_without_token_is_401(self, server):
         r = requests.post(f"{server.address}/v1/artifacts",
                           data=json.dumps(META).encode() + b"\nx")
         assert r.status_code == 401
-        assert r.json()["error"]["code"] == "unauthorized"
+        assert r.content == dumps_canonical(error_body(
+            "unauthorized", "missing bearer token"))
 
     def test_weight_beyond_every_float_is_400_and_stores_nothing(
             self, server, store, publisher):
@@ -156,35 +172,25 @@ class TestArtifactEndpoints:
     @pytest.mark.parametrize("length", ["-1", "abc"])
     def test_bad_content_length_is_400_and_closes(self, server, publisher,
                                                   length):
-        host, port = server.address.rsplit("/", 1)[-1].split(":")
-        request = (f"POST /v1/artifacts HTTP/1.1\r\nHost: {host}\r\n"
-                   f"Authorization: Bearer {publisher.token}\r\n"
-                   f"Content-Length: {length}\r\n\r\n").encode()
         start = time.monotonic()
-        with socket.create_connection((host, int(port)), timeout=2) as sock:
-            sock.sendall(request)
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes the socket
-                reply += chunk
+        status, _, body = raw_post(
+            server, "/v1/artifacts",
+            {"Authorization": f"Bearer {publisher.token}",
+             "Content-Length": length})
         assert time.monotonic() - start < 2
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.split()[1] == b"400"
+        assert status == 400
         assert json.loads(body)["error"]["code"] == "malformed_document"
 
     def test_bad_token_push_is_401_before_the_body_is_read(self, server):
         # 10 of the 1,000,000 declared bytes are sent: a server that read
         # the body before the token would wait for the rest
-        host, port = server.address.rsplit("/", 1)[-1].split(":")
-        request = (f"POST /v1/artifacts HTTP/1.1\r\nHost: {host}\r\n"
-                   f"Authorization: Bearer not-a-token\r\n"
-                   f"Content-Length: 1000000\r\n\r\n").encode() + b"x" * 10
         start = time.monotonic()
-        with socket.create_connection((host, int(port)), timeout=2) as sock:
-            sock.sendall(request)
-            reply = read_until_closed(sock)  # the server closes the socket
+        status, head, body = raw_post(
+            server, "/v1/artifacts",
+            {"Authorization": "Bearer not-a-token",
+             "Content-Length": 1000000}, b"x" * 10)
         assert time.monotonic() - start < 2
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.split()[1] == b"401"
+        assert status == 401
         assert b"\r\nConnection: close" in head
         assert json.loads(body)["error"]["code"] == "unknown_token"
 
@@ -260,14 +266,15 @@ class TestTaskEndpoints:
                b"  backend: \"onnx\"\n"
                b"task_args:\n  model_file: \"m.onnx\"\n"
                b"out_args:\n  export_file: \"o.txt\"\n")
+        violations = list(validate_config(parse_config(bad)).violations)
+        assert "inference requires task_args.input" in violations
         r = requests.post(
             f"{server.address}/v1/tasks", data=bad,
             headers={"Authorization": f"Bearer {publisher.token}"})
         assert r.status_code == 400
-        body = r.json()
-        assert body["error"]["code"] == "invalid_config"
-        assert "inference requires task_args.input" \
-            in body["data"]["violations"]
+        assert r.content == dumps_canonical(error_body(
+            "invalid_config", "config failed validation",
+            {"violations": violations}))
 
     def test_task_argument_of_the_wrong_kind_is_400(self, server,
                                                     publisher):
@@ -333,7 +340,8 @@ class TestTaskEndpoints:
     def test_unknown_route_is_404(self, server):
         r = requests.get(f"{server.address}/v1/nothing")
         assert r.status_code == 404
-        assert r.json()["error"]["code"] == "not_found"
+        assert r.content == dumps_canonical(error_body(
+            "not_found", "no route for /v1/nothing"))
 
     def test_first_posted_task_wins_an_export_collision(
             self, tmp_path, server, publisher, monkeypatch):
@@ -643,3 +651,70 @@ class TestProtocolMirrorsRegistry:
         # every query but the absent tag finds something
         assert [bool(records) for records in found] == \
             [params != {"tags": "absent"} for params, _ in queries]
+
+
+class TestErrorDetails:
+    """An error's ``details`` are the same in process and over HTTP."""
+
+    def test_a_duplicate_has_the_same_details_locally_and_remotely(
+            self, server, store, publisher):
+        content = make_model_checkpoint("enc")
+        store.register_artifact(content, ArtifactDraft.from_dict(META),
+                                publisher.token)
+        with pytest.raises(DuplicateContentError) as local:
+            store.register_artifact(content, ArtifactDraft.from_dict(META),
+                                    publisher.token)
+        with pytest.raises(HpcfairError) as remote:
+            client.request(server.address, "POST", "/v1/artifacts",
+                           token=publisher.token,
+                           data=json.dumps(META).encode() + b"\n" + content)
+        assert remote.value.code == local.value.code
+        assert remote.value.details == local.value.details
+        assert local.value.existing_pid == local.value.details["pid"]
+
+
+class TestRequestBody:
+    """A body is read whole, and only up to the server's bound."""
+
+    @pytest.mark.parametrize("path", ["/v1/artifacts", "/v1/tasks"])
+    def test_a_short_body_is_malformed_and_stores_nothing(
+            self, server, store, publisher, path):
+        body = json.dumps(META).encode() + b"\nabc"
+        status, head, reply = raw_post(
+            server, path, {"Authorization": f"Bearer {publisher.token}",
+                           "Content-Length": len(body) + 1000},
+            body, shut=True)
+        assert status == 400
+        assert b"\r\nConnection: close" in head
+        assert json.loads(reply)["error"] == {
+            "code": "malformed_document",
+            "message": f"request body ended after {len(body)} of "
+                       f"{len(body) + 1000} bytes"}
+        assert store.all_records() == []
+
+    @pytest.mark.parametrize("path", ["/v1/artifacts", "/v1/tasks"])
+    @pytest.mark.parametrize("length", [
+        pytest.param(server_module._BODY_LIMIT_BYTES + 1, id="limit+1"),
+        pytest.param(100 * 2 ** 30, id="100GiB"),
+        pytest.param("9" * 5000, id="5000-digits")])
+    def test_a_body_over_the_bound_is_413_before_any_read(
+            self, server, publisher, path, length):
+        start = time.monotonic()
+        status, head, reply = raw_post(
+            server, path, {"Authorization": f"Bearer {publisher.token}",
+                           "Content-Length": length}, b"x" * 10)
+        assert time.monotonic() - start < 2
+        assert status == 413
+        assert b"\r\nConnection: close" in head
+        assert json.loads(reply)["error"]["code"] == "body_too_large"
+
+    def test_a_body_at_the_bound_is_read(self, server, publisher,
+                                         monkeypatch):
+        body = json.dumps(META).encode() + b"\n" \
+            + make_model_checkpoint("enc")
+        monkeypatch.setattr(server_module, "_BODY_LIMIT_BYTES", len(body))
+        status, _, _ = raw_post(
+            server, "/v1/artifacts",
+            {"Authorization": f"Bearer {publisher.token}",
+             "Content-Length": len(body), "Connection": "close"}, body)
+        assert status == 201

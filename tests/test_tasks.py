@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import re
 import shutil
 import sys
@@ -132,6 +133,30 @@ class TestDispatch:
         assert not any("routing" in line for line in result.log)
         if name == "conversion.yaml":  # nothing ran, so nothing is written
             assert not (demo_workspace.root / "encoder.onnx").exists()
+
+    @pytest.mark.parametrize("kind", ["invalid config", "collision",
+                                      "export onto a directory",
+                                      "export under a regular file"])
+    def test_a_refusal_is_logged_like_any_failure(self, demo_workspace,
+                                                  caplog, kind):
+        d = Dispatcher()
+        cfg = load_config(demo_workspace.root / "container.yaml")
+        if kind == "invalid config":
+            del cfg.task_args["build_tag"]
+        elif kind == "collision":
+            d._claim([str(cfg.resolve("out_container.txt"))])
+        elif kind == "export onto a directory":
+            (demo_workspace.root / "out_container.txt").mkdir()
+        else:
+            cfg.out["export_file"] = "input.txt/out_container.txt"
+        caplog.set_level(logging.INFO, logger="hpcfair.tasks")
+        result = d.dispatch(cfg)
+        assert result.status == "failed"
+        assert re.fullmatch(r"\S+Z failed: (.*)", result.log[-1]).group(1) \
+            == result.error["message"]
+        assert not any("routing" in line for line in result.log)
+        records = [r for r in caplog.records if r.name == "hpcfair.tasks"]
+        assert [r.levelno for r in records] == [logging.INFO]
 
     def test_log_lines_are_stamped_to_the_millisecond(self, demo_workspace):
         result = Dispatcher().dispatch(conversion_cfg(demo_workspace))
